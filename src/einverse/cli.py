@@ -182,7 +182,7 @@ def _cmd_solve(args) -> int:
 def _cmd_solve_ax(args) -> int:
     a = _load_tensor(args.a)
     b = _load_tensor(args.b)
-    outcome = solve_ax(a, b, use_mp=args.mp, tol=args.tol)
+    outcome = solve_ax(a, b, tol=args.tol)
     z_solution = None
     if args.z:
         y = _load_tensor(args.z)
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-ax", help="solve a x = b")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--mp", action="store_true", help="use the Moore-Penrose statement")
+    p.add_argument("--mp", action="store_true", help="accepted for compatibility; no effect")
     _add_solver_flags(p)
     _add_common(p, SOLVE_TOL)
     p.set_defaults(func=_cmd_solve_ax)

@@ -122,9 +122,38 @@ def svd(a: Tensor) -> SvdTriple:
     return SvdTriple(u, unflatten(core, a.shape), v)
 
 
-def pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
-    """The Moore-Penrose inverse, satisfying all four defining equations."""
+def _svd_pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
     return unflatten(matrix_pinv(flatten(a), rank_tol), a.shape.swapped())
+
+
+def pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
+    """The Moore-Penrose inverse, satisfying all four defining equations.
+
+    With the default ``rank_tol`` the result is computed once per tensor and
+    kept on it (see :meth:`Tensor.memoized`), so later calls return the same
+    object without another SVD.  An explicit ``rank_tol`` always recomputes.
+    """
+    if rank_tol is not None:
+        return _svd_pinv(a, rank_tol)
+    return a.memoized("pinv", _svd_pinv)
+
+
+def _pinv_sharing(b: Tensor, a: Tensor) -> Tensor:
+    """``pinv(b)``, taken as ``pinv(a)*`` without an SVD when ``b`` is exactly ``a*``.
+
+    Only a ``b`` with no inverse kept on it yet is compared with ``a``.
+    """
+
+    def derive(b: Tensor) -> Tensor:
+        if (
+            b is not a
+            and b.shape == a.shape.swapped()
+            and np.array_equal(b.as_matrix(), a.as_matrix().conj().T)
+        ):
+            return conj_transpose(pinv(a))
+        return pinv(b)
+
+    return b.memoized("pinv", derive)
 
 
 def _require_lambda_inverse(a: Tensor, g: Tensor, flags, tol: float, who: str):

@@ -75,7 +75,14 @@ def matrix_pinv(m, rank_tol: float | None = None):
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc
+        # numpy's divide-and-conquer driver (gesdd) now and then fails to
+        # converge where the QR-iteration driver (gesvd) succeeds
+        try:
+            import scipy.linalg
+
+            u, s, vh = scipy.linalg.svd(arr, full_matrices=False, lapack_driver="gesvd")
+        except (ImportError, ValueError, np.linalg.LinAlgError):
+            raise NumericError(f"SVD failed: {exc}") from exc
     cutoff = rank_tol * (s[0] if s.size else 0.0)
     inv = np.zeros_like(s)
     keep = s > cutoff

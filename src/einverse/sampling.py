@@ -48,14 +48,38 @@ class SplitMix64:
         return 2.0 * self.next_double() - 1.0
 
 
+def _u64_stream(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed).next_u64()``, all at once.
+
+    The generator is counter-based: output ``i`` (from 0) mixes
+    ``seed + (i + 1) * gamma``, so the stream is one ``uint64`` array
+    expression, wrapping mod 2^64 as the scalar arithmetic does.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def random_tensor(extents, split: int, seed: int, complex_entries: bool = True) -> Tensor:
-    """Seeded tensor with entries uniform in [-1, 1) (plus i*[-1, 1) if complex)."""
-    gen = SplitMix64(seed)
+    """Seeded tensor with entries uniform in [-1, 1) (plus i*[-1, 1) if complex).
+
+    Matches drawing each entry from :class:`SplitMix64` in turn, bit for bit.
+    """
     extents = tuple(int(e) for e in extents)
     n = int(np.prod(extents)) if extents else 1
-    entries = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        re = gen.next_symmetric()
-        im = gen.next_symmetric() if complex_entries else 0.0
-        entries[i] = complex(re, im)
+    draws = _u64_stream(seed, 2 * n if complex_entries else n)
+    draws >>= np.uint64(11)
+    entries = np.zeros(n, dtype=np.complex128)
+    # complex: real and imaginary parts alternate in the stream
+    parts = entries.view(np.float64) if complex_entries else entries.real
+    np.multiply(draws, 2.0**-53, out=parts)
+    parts *= 2.0
+    parts -= 1.0
+    entries.setflags(write=False)  # frozen, so the tensor adopts it without a copy
     return Tensor.from_flat(extents, split, entries)

@@ -8,16 +8,21 @@ Moore-Penrose inverses by default), and then every solution is
 
 for a free tensor ``z``.  Inconsistency is reported as a value, never an
 exception, so callers get the witness residual.
+
+Default inverses and projectors are kept on the operand tensors (see
+:meth:`Tensor.memoized`), so repeated solves against one operator factor it
+once; the projectors are built only when a generator first needs them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import einstein_product, kronecker, unvec, vec
 from .errors import PreconditionError, ShapeError
-from .inverses import pinv
+from .inverses import _pinv_sharing, pinv
 from .tensor import (
     Tensor,
     TensorShape,
@@ -38,6 +43,20 @@ def _mul(*factors: Tensor) -> Tensor:
     for f in factors[1:]:
         acc = einstein_product(acc, f, acc.order - acc.split)
     return acc
+
+
+def _left_projector(a: Tensor, g: Tensor | None) -> Tensor:
+    """``g a``; for the default ``g = pinv(a)`` it is kept on ``a``."""
+    if g is None:
+        return a.memoized("pinv a", lambda a: _mul(pinv(a), a))
+    return _mul(g, a)
+
+
+def _right_projector(b: Tensor, g: Tensor | None) -> Tensor:
+    """``b g``; for the default ``g = pinv(b)`` it is kept on ``b``."""
+    if g is None:
+        return b.memoized("b pinv", lambda b: _mul(b, pinv(b)))
+    return _mul(b, g)
 
 
 @dataclass(frozen=True)
@@ -83,20 +102,19 @@ def solve_axb(
     """
     if d.row_extents != a.row_extents or d.col_extents != b.col_extents:
         raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")
-    if g_a is None:
-        g_a = pinv(a)
-    if g_b is None:
-        g_b = pinv(b)
-    x0 = _mul(g_a, d, g_b)
+    ga = pinv(a) if g_a is None else g_a
+    gb = _pinv_sharing(b, a) if g_b is None else g_b
+    x0 = _mul(ga, d, gb)
     residual = frobenius_distance(_mul(a, x0, b), d) / (1.0 + frobenius_norm(d))
-    left = _mul(g_a, a)
-    right = _mul(b, g_b)
+    # the projectors are built on the generator's first call, not before
+    left = functools.cache(functools.partial(_left_projector, a, g_a))
+    right = functools.cache(functools.partial(_right_projector, b, g_b))
     x_shape = x0.shape
 
     def generator(z: Tensor) -> Tensor:
         if z.shape != x_shape:
             raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
-        return x0 + z - _mul(left, z, right)
+        return x0 + z - _mul(left(), z, right())
 
     return _outcome(residual <= tol, x0, residual, generator)
 
@@ -104,29 +122,25 @@ def solve_axb(
 def solve_ax(
     a: Tensor,
     b: Tensor,
-    use_mp: bool = False,
     g: Tensor | None = None,
     tol: float = SOLVE_TOL,
 ) -> SolveOutcome:
     """Solve ``a x = b``; consistent iff ``a g b = b``.
 
-    The generator realizes ``x(y) = g b + (I - g a) y``.  ``use_mp`` selects
-    the Moore-Penrose form of the statement; since ``g`` already defaults to
-    the Moore-Penrose inverse the two variants coincide numerically.
+    The generator realizes ``x(y) = g b + (I - g a) y``.  ``g`` is a
+    {1}-inverse of ``a``; the default is the Moore-Penrose inverse.
     """
     if b.row_extents != a.row_extents:
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
-    if g is None or use_mp:
-        g = pinv(a)
-    x0 = _mul(g, b)
+    x0 = _mul(pinv(a) if g is None else g, b)
     residual = frobenius_distance(_mul(a, x0), b) / (1.0 + frobenius_norm(b))
-    proj = unit_tensor(a.col_extents) - _mul(g, a)
+    proj = functools.cache(lambda: unit_tensor(a.col_extents) - _left_projector(a, g))
     x_shape = x0.shape
 
     def generator(y: Tensor) -> Tensor:
         if y.shape != x_shape:
             raise ShapeError(f"free tensor {y!r} must be shaped like {x_shape}")
-        return x0 + _mul(proj, y)
+        return x0 + _mul(proj(), y)
 
     return _outcome(residual <= tol, x0, residual, generator)
 
@@ -147,8 +161,9 @@ def common_solution(
     if a.col_extents != f.row_extents or b.col_extents != d.row_extents:
         raise ShapeError("equations do not share an unknown of one shape")
     g_a = pinv(a)
-    g_d = pinv(d)
-    x0 = _mul(g_a, b) + _mul(f, g_d) - _mul(g_a, a, f, g_d)
+    g_d = _pinv_sharing(d, a)
+    left = _left_projector(a, None)
+    x0 = _mul(g_a, b) + _mul(f, g_d) - _mul(left, f, g_d)
     r_left = frobenius_distance(_mul(a, g_a, b), b) / (1.0 + frobenius_norm(b))
     r_right = frobenius_distance(_mul(f, g_d, d), f) / (1.0 + frobenius_norm(f))
     bd = _mul(b, d)
@@ -158,16 +173,16 @@ def common_solution(
         frobenius_distance(_mul(a, x0), b) / (1.0 + frobenius_norm(b)),
         frobenius_distance(_mul(x0, d), f) / (1.0 + frobenius_norm(f)),
     )
-    left = _mul(g_a, a)
-    right = _mul(d, g_d)
-    i_left = unit_tensor(a.col_extents)
-    i_right = unit_tensor(d.row_extents)
+    free_left = functools.cache(lambda: unit_tensor(a.col_extents) - left)
+    free_right = functools.cache(
+        lambda: unit_tensor(d.row_extents) - _right_projector(d, None)
+    )
     x_shape = x0.shape
 
     def generator(z: Tensor) -> Tensor:
         if z.shape != x_shape:
             raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
-        return x0 + _mul(i_left - left, z, i_right - right)
+        return x0 + _mul(free_left(), z, free_right())
 
     return _outcome(consistent, x0, residual, generator)
 

@@ -76,17 +76,33 @@ class TensorShape:
         return self.row_extents == self.col_extents
 
 
-class Tensor:
-    """Immutable dense complex tensor with a fixed row/column split."""
+def _frozen(arr: np.ndarray) -> bool:
+    """True when no array along ``arr``'s chain of bases can be written.
 
-    __slots__ = ("_data", "_split")
+    A read-only view of a writable array is not frozen: writing to the base
+    would change the view's entries.
+    """
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags["WRITEABLE"]:
+            return False
+        arr = arr.base
+    return True
+
+
+class Tensor:
+    """Immutable dense complex tensor with a fixed row/column split.
+
+    Because the entries never change, quantities derived from them (such as
+    the Moore-Penrose inverse) can be computed once and kept on the instance;
+    see :meth:`memoized`.
+    """
+
+    __slots__ = ("_data", "_split", "_memo")
 
     def __init__(self, data, split: int):
         arr = np.asarray(data)
         if not (
-            arr.dtype == np.complex128
-            and arr.flags["C_CONTIGUOUS"]
-            and not arr.flags["WRITEABLE"]
+            arr.dtype == np.complex128 and arr.flags["C_CONTIGUOUS"] and _frozen(arr)
         ):
             # own a fresh copy; already-frozen canonical arrays (views of
             # other tensors) are adopted without moving data
@@ -100,9 +116,21 @@ class Tensor:
             raise ShapeError(f"split {split} out of range for order-{arr.ndim} tensor")
         object.__setattr__(self, "_data", arr)
         object.__setattr__(self, "_split", int(split))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    def memoized(self, key: str, compute):
+        """``compute(self)``, computed on the first request for ``key`` and kept.
+
+        The value must not refer back to this tensor, so that reference
+        counting frees the two together.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
     @classmethod
     def from_flat(cls, extents, split: int, entries) -> Tensor:

@@ -28,3 +28,28 @@ def rank_deficient(row, col, seed, rank) -> Tensor:
 @pytest.fixture
 def seeds20():
     return range(1, 21)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` from now on, one per call."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+#: One line per acceptance criterion, filled by ``test_acceptance.report``.
+ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)

@@ -10,7 +10,6 @@ README).
 """
 
 import json
-import sys
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from einverse import (
     solve_axb_via_kronecker,
 )
 from einverse.cli import main
-from conftest import rank_deficient, rdist, rt
+from conftest import ACCEPTANCE_LINES, rank_deficient, rdist, rt
 from identity_checks import ALL_CHECKS, mul
 from golden_data import (
     MP_A,
@@ -55,8 +54,9 @@ from golden_data import (
 def report(criterion: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
-    # write past pytest's capture so every criterion prints one line
-    print(f"ACCEPTANCE {criterion}: {status}{suffix}", file=sys.__stdout__)
+    # printed after the run by conftest's terminal-summary hook, which
+    # pytest's output capture does not hold back
+    ACCEPTANCE_LINES.append(f"ACCEPTANCE {criterion}: {status}{suffix}")
     return ok
 
 

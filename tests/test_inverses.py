@@ -97,6 +97,21 @@ class TestPinv:
         a = rt([3, 2], [2, 2], seed=27)
         assert penrose_check(a, pinv(a)).all_satisfied
 
+    def test_default_inverse_is_kept_on_the_tensor(self, svd_calls):
+        a = rt([2, 2], [3], seed=28)
+        x = pinv(a)
+        assert pinv(a) is x
+        assert len(svd_calls) == 1
+
+    def test_explicit_rank_tol_always_recomputes(self, svd_calls):
+        a = rt([2, 2], [3], seed=29)
+        x = pinv(a)
+        eps_tol = max(a.row_count, a.col_count) * np.finfo(np.float64).eps
+        recomputed = [pinv(a, rank_tol=eps_tol) for _ in range(2)]
+        assert len(svd_calls) == 3
+        assert all(y is not x and np.array_equal(y.data, x.data) for y in recomputed)
+        assert pinv(a) is x
+
 
 class TestPenroseCheck:
     def test_pinv_passes(self):

@@ -3,6 +3,7 @@ import pytest
 
 from einverse import (
     FlatMatrix,
+    NumericError,
     ShapeError,
     TensorShape,
     conj_transpose,
@@ -11,6 +12,8 @@ from einverse import (
     frobenius_distance,
     kronecker,
     matrix_pinv,
+    penrose_check,
+    pinv,
     transpose,
     unflatten,
     unit_tensor,
@@ -111,3 +114,27 @@ def test_flatten_commutes_with_kronecker():
     lhs = flatten(kronecker(a, b)).data
     rhs = np.kron(flatten(a).data, flatten(b).data)
     assert np.array_equal(lhs, rhs)
+
+
+def _svd_not_converging(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_failed_svd_is_retried_with_gesvd(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _svd_not_converging)
+    a = rt([2, 3], [2, 2], seed=31)
+    assert penrose_check(a, pinv(a)).all_satisfied
+
+
+def test_svd_failing_in_both_drivers_raises_numeric_error(monkeypatch):
+    import scipy.linalg
+
+    monkeypatch.setattr(np.linalg, "svd", _svd_not_converging)
+    monkeypatch.setattr(scipy.linalg, "svd", _svd_not_converging)
+    with pytest.raises(NumericError, match="SVD failed: SVD did not converge"):
+        matrix_pinv(np.eye(3))
+
+
+def test_non_finite_input_raises_numeric_error():
+    with pytest.raises(NumericError):
+        matrix_pinv(np.full((3, 3), np.nan))

@@ -1,0 +1,48 @@
+import numpy as np
+import pytest
+
+from einverse import SplitMix64, random_tensor
+from einverse.sampling import _u64_stream
+
+LONG = 100_000
+
+
+def scalar_entries(n, seed, complex_entries):
+    """Entries drawn one by one from the scalar generator (the reference)."""
+    gen = SplitMix64(seed)
+    out = np.empty(n, dtype=np.complex128)
+    for i in range(n):
+        re = gen.next_symmetric()
+        out[i] = complex(re, gen.next_symmetric() if complex_entries else 0.0)
+    return out
+
+
+def test_known_answer_seed_zero():
+    expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    gen = SplitMix64(0)
+    assert [gen.next_u64() for _ in expected] == expected
+    assert _u64_stream(0, 3).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**70 + 3])
+def test_vector_stream_matches_scalar_stream(seed):
+    gen = SplitMix64(seed)
+    assert _u64_stream(seed, LONG).tolist() == [gen.next_u64() for _ in range(LONG)]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("seed", [0, -7, 2**70 + 3])
+def test_random_tensor_matches_scalar_draws(seed, complex_entries):
+    n = LONG // 2 if complex_entries else LONG
+    t = random_tensor((n,), 1, seed, complex_entries)
+    expected = scalar_entries(n, seed, complex_entries)
+    # bit for bit, so signed zeros and every last digit count
+    assert t.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("extents, split", [((3, 4, 5), 1), ((1,), 0), ((2, 3, 2, 3), 2)])
+def test_random_tensor_shape_and_entries(extents, split):
+    t = random_tensor(extents, split, 11)
+    assert t.extents == extents and t.split == split
+    expected = scalar_entries(int(np.prod(extents)), 11, True)
+    assert t.data.ravel().tobytes() == expected.tobytes()

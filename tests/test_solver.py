@@ -1,5 +1,7 @@
+import gc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from einverse import (
@@ -27,6 +29,7 @@ from einverse import (
     zeros,
     zeros_like,
 )
+from einverse.solver import SOLVE_TOL
 from conftest import rank_deficient, rdist, rt
 
 
@@ -97,12 +100,11 @@ class TestSolveAx:
         assert rdist(outcome.particular, b) <= 1e-12
         assert rdist(outcome.generator(rt([2, 2], [3], seed=12)), b) <= 1e-12
 
-    @pytest.mark.parametrize("use_mp", [False, True])
-    def test_planted_solution(self, use_mp):
+    def test_planted_solution(self):
         a = rank_deficient([2, 2], [2, 2], seed=13, rank=2)
         xhat = rt([2, 2], [2], seed=14)
         b = mul(a, xhat)
-        outcome = solve_ax(a, b, use_mp=use_mp)
+        outcome = solve_ax(a, b)
         assert outcome.consistent
         for yseed in range(3):
             y = rt([2, 2], [2], seed=500 + yseed)
@@ -297,3 +299,135 @@ class TestChoiceOfOneInverse:
                 disagreements.append((seed, verdicts))
         if disagreements:  # pragma: no cover - not expected, reported not asserted
             print(f"verdict disagreements across {{1}}-inverse choices: {disagreements}")
+
+
+def unmemoized_pinv(t):
+    """``pinv(t)`` by a fresh SVD: an explicit ``rank_tol`` bypasses the kept inverse."""
+    return pinv(t, rank_tol=max(t.row_count, t.col_count) * np.finfo(np.float64).eps)
+
+
+def free_tensor(a, b, seed):
+    """A random tensor shaped like the unknown of ``a x b = d``."""
+    return rt(a.col_extents, b.row_extents, seed)
+
+
+class TestFactorReuse:
+    """Default inverses and projectors are computed once per operand tensor."""
+
+    def test_repeated_solves_factor_the_operator_once(self, svd_calls):
+        a = rt([2, 3], [3, 2], seed=2300)
+        b = ct(a)
+        ds = [mul(a, free_tensor(a, b, 2400 + j), b) for j in range(32)]
+        zs = [zeros((3, 2, 3, 2), 2)] + [free_tensor(a, b, 2500 + k) for k in range(3)]
+        for d in ds:
+            outcome = solve_axb(a, b, d)
+            assert outcome.consistent
+            for z in zs:
+                outcome.generator(z)
+        assert svd_calls == [(6, 6)]
+
+    def test_three_solvers_share_one_factorization(self, svd_calls):
+        a = rank_deficient([2, 2], [3, 2], seed=2600, rank=3)
+        x = rt([3, 2], [3, 2], seed=2601)
+        del svd_calls[:]  # rank_deficient's own SVD
+        # two separate conjugate-transpose tensors: each is recognized
+        axb = solve_axb(a, ct(a), mul(a, x, ct(a)))
+        ax = solve_ax(a, mul(a, x))
+        pair = common_solution(a, mul(a, x), ct(a), mul(x, ct(a)))
+        for outcome in (axb, ax, pair):
+            assert outcome.consistent
+            outcome.generator(rt([3, 2], [3, 2], seed=2602))
+        assert svd_calls == [(4, 6)]
+
+    def test_only_an_exact_conjugate_transpose_reuses_the_factorization(self, svd_calls):
+        a = rt([2, 2], [3], seed=2650)
+        near = ct(a) + rt([3], [2, 2], seed=2651) * 1e-12
+        solve_axb(a, near, rt([2, 2], [2, 2], seed=2652))
+        assert len(svd_calls) == 2
+
+    @pytest.mark.parametrize("adjoint", [True, False])
+    def test_generator_of_zero_is_the_particular_solution(self, adjoint):
+        a = rank_deficient([2, 2], [3, 2], seed=2700, rank=3)
+        b = ct(a) if adjoint else rt([3, 2], [2], seed=2701)
+        d = rt(a.row_extents, b.col_extents, seed=2702)
+        outcomes = [
+            solve_axb(a, b, d),
+            solve_axb(a, b, d, g_a=unmemoized_pinv(a), g_b=unmemoized_pinv(b)),
+            solve_ax(a, d),
+            solve_ax(a, d, g=unmemoized_pinv(a)),
+        ]
+        if adjoint:
+            lhs, rhs = rt([2, 2], [3, 2], seed=2703), rt([3, 2], [2, 2], seed=2704)
+            outcomes.append(common_solution(a, lhs, b, rhs))
+        for outcome in outcomes:
+            zero = zeros_like(outcome.particular)
+            assert np.array_equal(outcome.generator(zero).data, outcome.particular.data)
+
+    @pytest.mark.parametrize("adjoint", [True, False])
+    def test_results_match_unmemoized_formulas(self, adjoint):
+        a = rank_deficient([2, 2], [3, 2], seed=2800, rank=3)
+        b = ct(a) if adjoint else rt([3, 2], [2], seed=2801)
+        d = mul(a, free_tensor(a, b, 2802), b)
+        z = free_tensor(a, b, 2803)
+        ga, gb = unmemoized_pinv(a), unmemoized_pinv(b)
+        x0 = mul(ga, d, gb)
+        outcome = solve_axb(a, b, d)
+        for _ in range(2):  # the second call reads the kept projectors
+            assert rdist(outcome.particular, x0) <= SOLVE_TOL
+            assert rdist(outcome.generator(z), x0 + z - mul(ga, a, z, b, gb)) <= SOLVE_TOL
+            outcome = solve_axb(a, b, d)
+        if not adjoint:  # b's own SVD: the same arithmetic as without a memo
+            assert np.array_equal(outcome.particular.data, x0.data)
+
+        rhs = mul(a, z)
+        y = rt([3, 2], z.col_extents, seed=2804)
+        outcome = solve_ax(a, rhs)
+        assert rdist(outcome.particular, mul(ga, rhs)) <= SOLVE_TOL
+        assert rdist(outcome.generator(y), mul(ga, rhs) + y - mul(ga, a, y)) <= SOLVE_TOL
+
+        if adjoint:
+            b3, f3 = mul(a, z), mul(z, b)
+            outcome = common_solution(a, b3, b, f3)
+            x0 = mul(ga, b3) + mul(f3, gb) - mul(ga, a, f3, gb)
+            proj = unit_tensor(a.col_extents) - mul(ga, a)
+            coproj = unit_tensor(b.row_extents) - mul(b, gb)
+            assert rdist(outcome.particular, x0) <= SOLVE_TOL
+            assert rdist(outcome.generator(y), x0 + mul(proj, y, coproj)) <= SOLVE_TOL
+
+    def test_explicit_inverses_are_not_kept_on_the_operands(self):
+        a = rank_deficient([2, 2], [2, 2], seed=2900, rank=2)
+        b = rank_deficient([2, 2], [2, 2], seed=2901, rank=2)
+        d = mul(a, rt([2, 2], [2, 2], seed=2902), b)
+        g_a = one_inverse_family(a, pinv(a), rt([2, 2], [2, 2], seed=2903))
+        g_b = one_inverse_family(b, pinv(b), rt([2, 2], [2, 2], seed=2904))
+        z = rt([2, 2], [2, 2], seed=2905)
+        # the explicit inverses' projectors are built first
+        custom = solve_axb(a, b, d, g_a=g_a, g_b=g_b).generator(z)
+        default = solve_axb(a, b, d).generator(z)
+        ga, gb = pinv(a), pinv(b)
+        assert rdist(custom, mul(g_a, d, g_b) + z - mul(g_a, a, z, b, g_b)) <= SOLVE_TOL
+        assert rdist(default, mul(ga, d, gb) + z - mul(ga, a, z, b, gb)) <= SOLVE_TOL
+        assert rdist(custom, default) > 1e-6
+
+    def test_kept_factors_are_freed_with_their_tensor(self):
+        def live_tensors():
+            return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()  # whatever a cycle would keep alive stays visible
+        try:
+            before = live_tensors()
+            a = rt([2, 2], [3, 2], seed=3000)
+            x = rt([3, 2], [3, 2], seed=3001)
+            outcomes = [
+                solve_axb(a, ct(a), mul(a, x, ct(a))),
+                solve_ax(a, mul(a, x)),
+                common_solution(a, mul(a, x), ct(a), mul(x, ct(a))),
+            ]
+            for outcome in outcomes:
+                outcome.generator(x)
+            del a, x, outcome, outcomes
+            after = live_tensors()
+        finally:
+            gc.enable()
+        assert after == before

@@ -187,3 +187,17 @@ def test_tensor_is_immutable():
         t.data[0, 0] = 5.0
     with pytest.raises(AttributeError):
         t.split = 0
+
+
+def test_read_only_view_of_writable_array_is_copied():
+    m = np.zeros((2, 2), dtype=np.complex128)
+    v = m.view()
+    v.setflags(write=False)
+    t = Tensor(v, 1)
+    m[0, 0] = 1
+    assert t.data[0, 0] == 0
+
+
+def test_views_of_tensors_are_adopted_without_copy():
+    t = rt([2, 3], [2, 2], seed=12)
+    assert np.shares_memory(Tensor(t.as_matrix(), 1).data, t.data)
