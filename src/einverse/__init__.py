@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .algebra import (
     block2x2,
+    chain,
     column_block,
     einstein_product,
     kronecker,
@@ -36,7 +37,7 @@ from .inverses import (
     reverse_order_diagnose,
     svd,
 )
-from .matricize import FlatMatrix, flatten, matrix_pinv, unflatten
+from .matricize import matrix_pinv
 from .sampling import SplitMix64, random_tensor
 from .solver import (
     SOLVE_TOL,
@@ -67,7 +68,6 @@ __all__ = [
     "DEFAULT_TOL",
     "SOLVE_TOL",
     "ConditionCheck",
-    "FlatMatrix",
     "LambdaKind",
     "NumericError",
     "PenroseReport",
@@ -80,11 +80,11 @@ __all__ = [
     "Tensor",
     "TensorShape",
     "block2x2",
+    "chain",
     "column_block",
     "common_solution",
     "conj_transpose",
     "einstein_product",
-    "flatten",
     "frobenius_distance",
     "frobenius_norm",
     "is_hermitian",
@@ -108,7 +108,6 @@ __all__ = [
     "solve_axb_via_kronecker",
     "svd",
     "transpose",
-    "unflatten",
     "unit_tensor",
     "unvec",
     "vec",

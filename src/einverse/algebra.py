@@ -45,6 +45,19 @@ def einstein_product(a: Tensor, b: Tensor, n: int) -> Tensor:
     return Tensor(out, a.order - n)
 
 
+def chain(*factors: Tensor) -> Tensor:
+    """Contracted product ``f1 f2 ... fk`` of the factors, left to right.
+
+    Each step contracts the whole column group of the product so far, so
+    ``chain(a, b)`` is ``einstein_product(a, b, n)`` with ``n`` the length of
+    ``a``'s column group.  A single factor is returned unchanged.
+    """
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = einstein_product(acc, f, acc.order - acc.split)
+    return acc
+
+
 def kronecker(a: Tensor, b: Tensor) -> Tensor:
     """Blocked product scaling a copy of ``b`` by each entry of ``a``.
 

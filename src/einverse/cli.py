@@ -4,8 +4,9 @@ Verbs: pinv, ginv, solve, solve-ax, common, check-rol, verify, info.
 Tensor files are JSON documents ``{"extents": [...], "split": k,
 "re": [...], "im": [...]}`` in canonical entry order ("im" optional for real
 tensors); outputs reuse the same schema with extra report fields, so any
-produced tensor can be fed back in.  Exit codes: 0 success, 2 argument or
-input-file errors, 3 shape errors, 4 inconsistent system under
+produced tensor can be fed back in.  Exit codes: 0 success, 1 numeric
+failures, 2 argument errors, unreadable or malformed input files and
+precondition failures, 3 shape errors, 4 inconsistent system under
 --require-consistent.
 """
 
@@ -44,11 +45,14 @@ def _load_tensor(path: str) -> Tensor:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        return Tensor.from_json_dict(doc)
     except OSError as exc:
         raise _CliError(2, "input", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # a RecursionError here is the decoder giving up on deep nesting
         raise _CliError(2, "input", f"{path} is not valid JSON: {exc}") from exc
-    return Tensor.from_json_dict(doc)
+    except ShapeError as exc:
+        raise _CliError(2, "input", f"{path}: {exc}") from exc
 
 
 def _json_safe(value):
@@ -92,15 +96,11 @@ def _tensor_doc(t: Tensor, **extra) -> dict:
     return doc
 
 
-def _report_doc(report) -> dict:
-    return report.to_json_dict()
-
-
 def _cmd_pinv(args) -> int:
     a = _load_tensor(args.tensor)
     x = pinv(a)
     report = penrose_check(a, x, args.tol)
-    _emit(_tensor_doc(x, report=_report_doc(report)), args.out, args.format)
+    _emit(_tensor_doc(x, report=report.to_json_dict()), args.out, args.format)
     return 0
 
 
@@ -132,7 +132,7 @@ def _cmd_ginv(args) -> int:
     report = penrose_check(a, g, args.tol)
     doc = _tensor_doc(
         g,
-        **{"lambda": sorted(kind.flags), "seed": args.seed, "report": _report_doc(report)},
+        **{"lambda": sorted(kind.flags), "seed": args.seed, "report": report.to_json_dict()},
     )
     _emit(doc, args.out, args.format)
     return 0
@@ -145,19 +145,25 @@ def _parse_kind(text: str) -> LambdaKind:
         raise _CliError(2, "argument", str(exc)) from exc
 
 
-def _outcome_doc(outcome, z_solution=None) -> dict:
+#: Solve verbs: the solver each runs and the operand files it takes, in order.
+_SOLVERS = {
+    "solve": (solve_axb, ("a", "b", "d")),
+    "solve-ax": (solve_ax, ("a", "b")),
+    "common": (common_solution, ("a", "b", "d", "f")),
+}
+
+
+def _cmd_solve(args) -> int:
+    solver, operands = _SOLVERS[args.verb]
+    outcome = solver(*[_load_tensor(getattr(args, name)) for name in operands], tol=args.tol)
     doc = {
         "consistent": outcome.consistent,
         "residual": outcome.residual,
         "particular": outcome.particular.to_json_dict(),
     }
-    if z_solution is not None:
-        doc["generated_solution"] = z_solution.to_json_dict()
-    return doc
-
-
-def _finish_solve(args, outcome, z_solution=None) -> int:
-    _emit(_outcome_doc(outcome, z_solution), args.out, args.format)
+    if args.z:
+        doc["generated_solution"] = outcome.generator(_load_tensor(args.z)).to_json_dict()
+    _emit(doc, args.out, args.format)
     if args.require_consistent and not outcome.consistent:
         print(
             f"error: inconsistent: residual {outcome.residual:.6e} exceeds tolerance",
@@ -165,42 +171,6 @@ def _finish_solve(args, outcome, z_solution=None) -> int:
         )
         return 4
     return 0
-
-
-def _cmd_solve(args) -> int:
-    a = _load_tensor(args.a)
-    b = _load_tensor(args.b)
-    d = _load_tensor(args.d)
-    outcome = solve_axb(a, b, d, tol=args.tol)
-    z_solution = None
-    if args.z:
-        z = _load_tensor(args.z)
-        z_solution = outcome.generator(z)
-    return _finish_solve(args, outcome, z_solution)
-
-
-def _cmd_solve_ax(args) -> int:
-    a = _load_tensor(args.a)
-    b = _load_tensor(args.b)
-    outcome = solve_ax(a, b, tol=args.tol)
-    z_solution = None
-    if args.z:
-        y = _load_tensor(args.z)
-        z_solution = outcome.generator(y)
-    return _finish_solve(args, outcome, z_solution)
-
-
-def _cmd_common(args) -> int:
-    a = _load_tensor(args.a)
-    b = _load_tensor(args.b)
-    d = _load_tensor(args.d)
-    f = _load_tensor(args.f)
-    outcome = common_solution(a, b, d, f, tol=args.tol)
-    z_solution = None
-    if args.z:
-        z = _load_tensor(args.z)
-        z_solution = outcome.generator(z)
-    return _finish_solve(args, outcome, z_solution)
 
 
 def _cmd_check_rol(args) -> int:
@@ -221,7 +191,7 @@ def _cmd_check_rol(args) -> int:
         "gb_is_lambda_inverse": diag.gb_is_lambda_inverse,
         "candidate_is_inverse": diag.candidate_is_inverse,
         "verdict": "candidate passes" if diag.candidate_is_inverse else "candidate fails",
-        "report": _report_doc(diag.candidate_report),
+        "report": diag.candidate_report.to_json_dict(),
         "candidate": diag.candidate.to_json_dict(),
     }
     if diag.mp_distance is not None:
@@ -235,7 +205,7 @@ def _cmd_verify(args) -> int:
     a = _load_tensor(args.a)
     x = _load_tensor(args.x)
     report = penrose_check(a, x, args.tol)
-    _emit({"report": _report_doc(report)}, args.out, args.format)
+    _emit({"report": report.to_json_dict()}, args.out, args.format)
     return 0
 
 
@@ -304,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mp", action="store_true", help="accepted for compatibility; no effect")
     _add_solver_flags(p)
     _add_common(p, SOLVE_TOL)
-    p.set_defaults(func=_cmd_solve_ax)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("common", help="common solution of a x = b and x d = f")
     p.add_argument("a")
@@ -313,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f")
     _add_solver_flags(p)
     _add_common(p, SOLVE_TOL)
-    p.set_defaults(func=_cmd_common)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check-rol", help="reverse-order-law diagnostic for a b")
     p.add_argument("a")

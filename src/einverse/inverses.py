@@ -15,26 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import einstein_product, kronecker
-from .errors import NumericError, PreconditionError, ShapeError
-from .matricize import flatten, matrix_pinv, unflatten
+from .algebra import chain, kronecker
+from .errors import PreconditionError, ShapeError
+from .matricize import _svd, matrix_pinv
 from .tensor import (
     DEFAULT_TOL,
     Tensor,
-    TensorShape,
     conj_transpose,
     frobenius_distance,
     frobenius_norm,
     unit_tensor,
 )
-
-
-def _mul(*factors: Tensor) -> Tensor:
-    """Chain contracted products, always consuming the left factor's column group."""
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = einstein_product(acc, f, acc.order - acc.split)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -74,10 +65,10 @@ def penrose_check(a: Tensor, x: Tensor, tol: float = DEFAULT_TOL) -> PenroseRepo
     """
     if x.shape != a.shape.swapped():
         raise ShapeError(f"candidate {x!r} does not match {a!r} with groups swapped")
-    ax = _mul(a, x)
-    xa = _mul(x, a)
-    r1 = frobenius_distance(_mul(ax, a), a) / (1.0 + frobenius_norm(a))
-    r2 = frobenius_distance(_mul(xa, x), x) / (1.0 + frobenius_norm(x))
+    ax = chain(a, x)
+    xa = chain(x, a)
+    r1 = frobenius_distance(chain(ax, a), a) / (1.0 + frobenius_norm(a))
+    r2 = frobenius_distance(chain(xa, x), x) / (1.0 + frobenius_norm(x))
     r3 = frobenius_distance(conj_transpose(ax), ax) / (1.0 + frobenius_norm(ax))
     r4 = frobenius_distance(conj_transpose(xa), xa) / (1.0 + frobenius_norm(xa))
     return PenroseReport.from_residuals((r1, r2, r3, r4), tol)
@@ -98,7 +89,7 @@ class SvdTriple:
     v: Tensor
 
     def reconstruct(self) -> Tensor:
-        return _mul(self.u, self.core, conj_transpose(self.v))
+        return chain(self.u, self.core, conj_transpose(self.v))
 
 
 def svd(a: Tensor) -> SvdTriple:
@@ -109,21 +100,17 @@ def svd(a: Tensor) -> SvdTriple:
     if len(a.row_extents) != len(a.col_extents):
         raise ShapeError(f"equal-length index groups required, got {a!r}")
     m = a.as_matrix()
-    try:
-        mu, s, mvh = np.linalg.svd(m, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NumericError(f"SVD failed: {exc}") from exc
+    mu, s, mvh = _svd(m, full_matrices=True)
     core = np.zeros_like(m)
     np.fill_diagonal(core, s)
-    u = unflatten(mu, TensorShape(a.row_extents * 2, a.split))
-    v = unflatten(
-        mvh.conj().T, TensorShape(a.col_extents * 2, a.order - a.split)
-    )
-    return SvdTriple(u, unflatten(core, a.shape), v)
+    u = Tensor(mu.reshape(a.row_extents * 2), a.split)
+    v = Tensor(mvh.conj().T.reshape(a.col_extents * 2), a.order - a.split)
+    return SvdTriple(u, Tensor(core.reshape(a.extents), a.split), v)
 
 
 def _svd_pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
-    return unflatten(matrix_pinv(flatten(a), rank_tol), a.shape.swapped())
+    shape = a.shape.swapped()
+    return Tensor(matrix_pinv(a.as_matrix(), rank_tol).reshape(shape.extents), shape.split)
 
 
 def pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
@@ -175,14 +162,14 @@ def one_inverse_family(a: Tensor, g1: Tensor, y: Tensor, tol: float = DEFAULT_TO
     _require_lambda_inverse(a, g1, (1,), tol, "g1")
     if y.shape != g1.shape:
         raise ShapeError(f"free tensor {y!r} must be shaped like {g1!r}")
-    return g1 + y - _mul(g1, a, y, a, g1)
+    return g1 + y - chain(g1, a, y, a, g1)
 
 
 def reflexive_from_two(a: Tensor, y: Tensor, z: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
     """Build a {1,2}-inverse ``y a z`` from two {1}-inverses of ``a``."""
     _require_lambda_inverse(a, y, (1,), tol, "y")
     _require_lambda_inverse(a, z, (1,), tol, "z")
-    return _mul(y, a, z)
+    return chain(y, a, z)
 
 
 def one_three_family(a: Tensor, g13: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
@@ -190,8 +177,8 @@ def one_three_family(a: Tensor, g13: Tensor, y: Tensor, tol: float = DEFAULT_TOL
     _require_lambda_inverse(a, g13, (1, 3), tol, "g13")
     if y.shape != g13.shape:
         raise ShapeError(f"free tensor {y!r} must be shaped like {g13!r}")
-    proj = unit_tensor(a.col_extents) - _mul(g13, a)
-    return g13 + _mul(proj, y)
+    proj = unit_tensor(a.col_extents) - chain(g13, a)
+    return g13 + chain(proj, y)
 
 
 def one_four_family(a: Tensor, g14: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
@@ -199,15 +186,15 @@ def one_four_family(a: Tensor, g14: Tensor, y: Tensor, tol: float = DEFAULT_TOL)
     _require_lambda_inverse(a, g14, (1, 4), tol, "g14")
     if y.shape != g14.shape:
         raise ShapeError(f"free tensor {y!r} must be shaped like {g14!r}")
-    proj = unit_tensor(a.row_extents) - _mul(a, g14)
-    return g14 + _mul(y, proj)
+    proj = unit_tensor(a.row_extents) - chain(a, g14)
+    return g14 + chain(y, proj)
 
 
 def mp_from_13_14(a: Tensor, g14: Tensor, g13: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
     """Moore-Penrose inverse as ``g14 a g13`` from one inverse of each kind."""
     _require_lambda_inverse(a, g14, (1, 4), tol, "g14")
     _require_lambda_inverse(a, g13, (1, 3), tol, "g13")
-    return _mul(g14, a, g13)
+    return chain(g14, a, g13)
 
 
 def pinv_kronecker(a: Tensor, b: Tensor) -> Tensor:
@@ -280,7 +267,7 @@ def _hermitian_check(name: str, factors, tol: float) -> ConditionCheck:
     # A condition whose product is not shape-conformable (the published
     # operand orders disagree) is reported as NaN / not holding.
     try:
-        q = _mul(*factors)
+        q = chain(*factors)
     except ShapeError:
         return ConditionCheck(name, float("nan"), False)
     res = frobenius_distance(conj_transpose(q), q)
@@ -288,7 +275,7 @@ def _hermitian_check(name: str, factors, tol: float) -> ConditionCheck:
 
 
 def _idempotent_check(name: str, q: Tensor, tol: float) -> ConditionCheck:
-    res = frobenius_distance(_mul(q, q), q)
+    res = frobenius_distance(chain(q, q), q)
     return ConditionCheck(name, res, res <= tol * (1.0 + frobenius_norm(q)))
 
 
@@ -329,8 +316,8 @@ def reverse_order_diagnose(
     ga_ok = penrose_check(a, ga, tol).satisfies(flags)
     gb_ok = penrose_check(b, gb, tol).satisfies(flags)
 
-    ab = _mul(a, b)
-    candidate = _mul(gb, ga)
+    ab = chain(a, b)
+    candidate = chain(gb, ga)
     report = penrose_check(ab, candidate, tol)
     candidate_ok = report.satisfies(flags)
 
@@ -342,11 +329,11 @@ def reverse_order_diagnose(
             _distance_check("b_equals_a_conj_transpose", b, conj_transpose(a), tol),
             _distance_check("b_equals_mp_inverse_of_a", b, pinv(a), tol),
             _distance_check(
-                "a_conj_transpose_a_is_unit", _mul(conj_transpose(a), a),
+                "a_conj_transpose_a_is_unit", chain(conj_transpose(a), a),
                 unit_tensor(a.col_extents), tol,
             ),
             _distance_check(
-                "b_b_conj_transpose_is_unit", _mul(b, conj_transpose(b)),
+                "b_b_conj_transpose_is_unit", chain(b, conj_transpose(b)),
                 unit_tensor(b.row_extents), tol,
             ),
         )
@@ -355,7 +342,7 @@ def reverse_order_diagnose(
         sufficient = any(c.holds for c in conditions)
     elif kind.flags == {1}:
         conditions = (
-            _idempotent_check("ga_a_b_gb_idempotent", _mul(ga, a, b, gb), tol),
+            _idempotent_check("ga_a_b_gb_idempotent", chain(ga, a, b, gb), tol),
         )
         sufficient = conditions[0].holds
     elif kind.flags == {1, 3}:

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import einstein_product, kronecker, unvec, vec
+from .algebra import chain, kronecker, unvec, vec
 from .errors import PreconditionError, ShapeError
 from .inverses import _pinv_sharing, pinv
 from .tensor import (
@@ -38,25 +38,18 @@ from .tensor import (
 SOLVE_TOL = 1e-8
 
 
-def _mul(*factors: Tensor) -> Tensor:
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = einstein_product(acc, f, acc.order - acc.split)
-    return acc
-
-
 def _left_projector(a: Tensor, g: Tensor | None) -> Tensor:
     """``g a``; for the default ``g = pinv(a)`` it is kept on ``a``."""
     if g is None:
-        return a.memoized("pinv a", lambda a: _mul(pinv(a), a))
-    return _mul(g, a)
+        return a.memoized("pinv a", lambda a: chain(pinv(a), a))
+    return chain(g, a)
 
 
 def _right_projector(b: Tensor, g: Tensor | None) -> Tensor:
     """``b g``; for the default ``g = pinv(b)`` it is kept on ``b``."""
     if g is None:
-        return b.memoized("b pinv", lambda b: _mul(b, pinv(b)))
-    return _mul(b, g)
+        return b.memoized("b pinv", lambda b: chain(b, pinv(b)))
+    return chain(b, g)
 
 
 @dataclass(frozen=True)
@@ -104,8 +97,8 @@ def solve_axb(
         raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")
     ga = pinv(a) if g_a is None else g_a
     gb = _pinv_sharing(b, a) if g_b is None else g_b
-    x0 = _mul(ga, d, gb)
-    residual = frobenius_distance(_mul(a, x0, b), d) / (1.0 + frobenius_norm(d))
+    x0 = chain(ga, d, gb)
+    residual = frobenius_distance(chain(a, x0, b), d) / (1.0 + frobenius_norm(d))
     # the projectors are built on the generator's first call, not before
     left = functools.cache(functools.partial(_left_projector, a, g_a))
     right = functools.cache(functools.partial(_right_projector, b, g_b))
@@ -114,7 +107,7 @@ def solve_axb(
     def generator(z: Tensor) -> Tensor:
         if z.shape != x_shape:
             raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
-        return x0 + z - _mul(left(), z, right())
+        return x0 + z - chain(left(), z, right())
 
     return _outcome(residual <= tol, x0, residual, generator)
 
@@ -132,15 +125,15 @@ def solve_ax(
     """
     if b.row_extents != a.row_extents:
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
-    x0 = _mul(pinv(a) if g is None else g, b)
-    residual = frobenius_distance(_mul(a, x0), b) / (1.0 + frobenius_norm(b))
+    x0 = chain(pinv(a) if g is None else g, b)
+    residual = frobenius_distance(chain(a, x0), b) / (1.0 + frobenius_norm(b))
     proj = functools.cache(lambda: unit_tensor(a.col_extents) - _left_projector(a, g))
     x_shape = x0.shape
 
     def generator(y: Tensor) -> Tensor:
         if y.shape != x_shape:
             raise ShapeError(f"free tensor {y!r} must be shaped like {x_shape}")
-        return x0 + _mul(proj(), y)
+        return x0 + chain(proj(), y)
 
     return _outcome(residual <= tol, x0, residual, generator)
 
@@ -163,15 +156,15 @@ def common_solution(
     g_a = pinv(a)
     g_d = _pinv_sharing(d, a)
     left = _left_projector(a, None)
-    x0 = _mul(g_a, b) + _mul(f, g_d) - _mul(left, f, g_d)
-    r_left = frobenius_distance(_mul(a, g_a, b), b) / (1.0 + frobenius_norm(b))
-    r_right = frobenius_distance(_mul(f, g_d, d), f) / (1.0 + frobenius_norm(f))
-    bd = _mul(b, d)
-    r_couple = frobenius_distance(_mul(a, f), bd) / (1.0 + frobenius_norm(bd))
+    x0 = chain(g_a, b) + chain(f, g_d) - chain(left, f, g_d)
+    r_left = frobenius_distance(chain(a, g_a, b), b) / (1.0 + frobenius_norm(b))
+    r_right = frobenius_distance(chain(f, g_d, d), f) / (1.0 + frobenius_norm(f))
+    bd = chain(b, d)
+    r_couple = frobenius_distance(chain(a, f), bd) / (1.0 + frobenius_norm(bd))
     consistent = max(r_left, r_right, r_couple) <= tol
     residual = max(
-        frobenius_distance(_mul(a, x0), b) / (1.0 + frobenius_norm(b)),
-        frobenius_distance(_mul(x0, d), f) / (1.0 + frobenius_norm(f)),
+        frobenius_distance(chain(a, x0), b) / (1.0 + frobenius_norm(b)),
+        frobenius_distance(chain(x0, d), f) / (1.0 + frobenius_norm(f)),
     )
     free_left = functools.cache(lambda: unit_tensor(a.col_extents) - left)
     free_right = functools.cache(
@@ -182,7 +175,7 @@ def common_solution(
     def generator(z: Tensor) -> Tensor:
         if z.shape != x_shape:
             raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
-        return x0 + _mul(free_left(), z, free_right())
+        return x0 + chain(free_left(), z, free_right())
 
     return _outcome(consistent, x0, residual, generator)
 
@@ -201,9 +194,9 @@ def verify_unique_triple(
 
     def _residuals(w: Tensor):
         return (
-            frobenius_distance(_mul(a, w), b) / (1.0 + frobenius_norm(b)),
-            frobenius_distance(_mul(w, a), d) / (1.0 + frobenius_norm(d)),
-            frobenius_distance(_mul(w, a, w), w) / (1.0 + frobenius_norm(w)),
+            frobenius_distance(chain(a, w), b) / (1.0 + frobenius_norm(b)),
+            frobenius_distance(chain(w, a), d) / (1.0 + frobenius_norm(d)),
+            frobenius_distance(chain(w, a, w), w) / (1.0 + frobenius_norm(w)),
         )
 
     for name, w in (("x", x), ("y", y)):
@@ -234,16 +227,16 @@ def solve_axb_via_kronecker(
     big = kronecker(a, transpose(b))
     g = pinv(big)
     x_shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
-    x0v = _mul(g, vec(d))
+    x0v = chain(g, vec(d))
     x0 = unvec(x0v, x_shape)
-    residual = frobenius_distance(_mul(a, x0, b), d) / (1.0 + frobenius_norm(d))
-    gop = _mul(g, big)
+    residual = frobenius_distance(chain(a, x0, b), d) / (1.0 + frobenius_norm(d))
+    gop = chain(g, big)
 
     def generator(z: Tensor) -> Tensor:
         if z.shape != x_shape:
             raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
         zv = vec(z)
-        xv = x0v + zv - _mul(gop, zv)
+        xv = x0v + zv - chain(gop, zv)
         return unvec(xv, x_shape)
 
     return _outcome(residual <= tol, x0, residual, generator)

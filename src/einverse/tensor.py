@@ -150,8 +150,12 @@ class Tensor:
 
     @property
     def data(self) -> np.ndarray:
-        """Read-only array view of the entries, shaped by the full extents."""
-        return self._data
+        """Read-only array view of the entries, shaped by the full extents.
+
+        A fresh view each time: numpy refuses to make a view of a read-only
+        array writable, so callers cannot change the entries behind the memo.
+        """
+        return self._data.view()
 
     @property
     def split(self) -> int:
@@ -224,25 +228,27 @@ class Tensor:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> Tensor:
-        """Inverse of :meth:`to_json_dict`; extra keys are ignored."""
+        """Inverse of :meth:`to_json_dict`; extra keys are ignored.
+
+        Raises :class:`ShapeError` for a document that is not a tensor:
+        missing or unconvertible fields, invalid extents or split, a wrong
+        entry count, or non-finite entries.
+        """
         try:
-            extents = tuple(int(e) for e in doc["extents"])
-            split = int(doc["split"])
-            re = doc["re"]
-        except (KeyError, TypeError) as exc:
+            shape = TensorShape(tuple(doc["extents"]), int(doc["split"]))
+            keys = ("re", "im") if "im" in doc else ("re",)
+            parts = {k: np.asarray(doc[k], dtype=np.float64).ravel() for k in keys}
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ShapeError(f"malformed tensor document: {exc}") from exc
-        n = prod(extents)
-        re = np.asarray(re, dtype=np.float64).ravel()
-        if re.size != n:
-            raise ShapeError(f"'re' has {re.size} values, expected {n}")
-        if "im" in doc:
-            im = np.asarray(doc["im"], dtype=np.float64).ravel()
-            if im.size != n:
-                raise ShapeError(f"'im' has {im.size} values, expected {n}")
-            entries = re + 1j * im
-        else:
-            entries = re.astype(np.complex128)
-        return cls.from_flat(extents, split, entries)
+        n = prod(shape.extents)
+        for key, values in parts.items():
+            if values.size != n:
+                raise ShapeError(f"{key!r} has {values.size} values, expected {n}")
+            if not np.isfinite(values).all():
+                raise ShapeError(f"{key!r} has non-finite values")
+        re = parts["re"]
+        entries = re + 1j * parts["im"] if "im" in parts else re.astype(np.complex128)
+        return cls.from_flat(shape.extents, shape.split, entries)
 
 
 def _require_same_shape(a: Tensor, b: Tensor):

@@ -12,8 +12,8 @@ import numpy as np
 from einverse import (
     Tensor,
     block2x2,
+    chain,
     conj_transpose as ct,
-    einstein_product,
     frobenius_distance,
     frobenius_norm,
     one_four_family,
@@ -29,13 +29,6 @@ from einverse import (
 from conftest import rank_deficient, rt
 
 
-def mul(*ts):
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = einstein_product(acc, t, acc.order - acc.split)
-    return acc
-
-
 def rres(got, want):
     return frobenius_distance(got, want) / (1.0 + frobenius_norm(want))
 
@@ -45,11 +38,11 @@ def herm_res(t):
 
 
 def idem_res(t):
-    return frobenius_distance(mul(t, t), t) / (1.0 + frobenius_norm(t))
+    return frobenius_distance(chain(t, t), t) / (1.0 + frobenius_norm(t))
 
 
 def eq1_res(a, x):
-    return rres(mul(a, x, a), a)
+    return rres(chain(a, x, a), a)
 
 
 def sample_g1(a, seed):
@@ -59,9 +52,9 @@ def sample_g1(a, seed):
 
 def check_star_product_inverse(seed):
     a = rt([2, 3], [3, 2], seed)
-    gram = mul(ct(a), a)
-    r1 = rres(pinv(gram), mul(pinv(a), pinv(ct(a))))
-    r2 = rres(mul(pinv(gram), ct(a)), pinv(a))
+    gram = chain(ct(a), a)
+    r1 = rres(pinv(gram), chain(pinv(a), pinv(ct(a))))
+    r2 = rres(chain(pinv(gram), ct(a)), pinv(a))
     return max(r1, r2)
 
 
@@ -69,19 +62,19 @@ def check_mp_lemma_parts(seed):
     a = rt([2, 3], [3, 2], seed)
     ap = pinv(a)
     astar = ct(a)
-    outer = mul(a, astar)
+    outer = chain(a, astar)
     res = [
-        rres(mul(astar, pinv(outer)), ap),
-        rres(mul(astar, a, ap), astar),
-        rres(mul(ap, a, astar), astar),
-        rres(mul(a, astar, pinv(astar)), a),
-        rres(mul(pinv(astar), astar, a), a),
-        rres(mul(ap, a), mul(astar, pinv(astar))),
-        rres(mul(a, ap), mul(pinv(astar), astar)),
+        rres(chain(astar, pinv(outer)), ap),
+        rres(chain(astar, a, ap), astar),
+        rres(chain(ap, a, astar), astar),
+        rres(chain(a, astar, pinv(astar)), a),
+        rres(chain(pinv(astar), astar, a), a),
+        rres(chain(ap, a), chain(astar, pinv(astar))),
+        rres(chain(a, ap), chain(pinv(astar), astar)),
     ]
     triple = svd(rt([2, 3], [3, 2], seed + 5000))
     u, v = triple.u, triple.v
-    res.append(rres(pinv(mul(u, a, v)), mul(ct(v), ap, ct(u))))
+    res.append(rres(pinv(chain(u, a, v)), chain(ct(v), ap, ct(u))))
     return max(res)
 
 
@@ -93,22 +86,22 @@ def _partial_isometry(row, col, seed):
     d[max(1, d.size // 2) :] = 0.0
     np.fill_diagonal(core, d)
     quasi = Tensor(core.reshape(triple.core.extents), triple.core.split)
-    return mul(triple.u, quasi, ct(triple.v))
+    return chain(triple.u, quasi, ct(triple.v))
 
 
 def check_idempotency_lemma(seed):
     q = rt([2, 2], [3], seed)
-    p = mul(q, pinv(q))  # hermitian idempotent projector
+    p = chain(q, pinv(q))  # hermitian idempotent projector
     res = [rres(pinv(p), p)]
 
     w = _partial_isometry([2, 2], [2, 2], seed + 6000)
-    res.append(idem_res(mul(ct(w), w)))
+    res.append(idem_res(chain(ct(w), w)))
     res.append(rres(pinv(w), ct(w)))
 
     # contrapositive: a generic tensor is far from both sides at once
     a = rt([2, 2], [2, 2], seed + 7000)
     mp_is_star = frobenius_distance(pinv(a), ct(a)) <= 1e-6
-    gram_idem = idem_res(mul(ct(a), a)) <= 1e-6
+    gram_idem = idem_res(chain(ct(a), a)) <= 1e-6
     res.append(0.0 if mp_is_star == gram_idem else 1.0)
 
     ap = pinv(a)
@@ -116,10 +109,10 @@ def check_idempotency_lemma(seed):
     i_col = unit_tensor(a.col_extents)
     res.extend(
         [
-            idem_res(mul(a, ap)),
-            idem_res(mul(ap, a)),
-            idem_res(i_row - mul(a, ap)),
-            idem_res(i_col - mul(ap, a)),
+            idem_res(chain(a, ap)),
+            idem_res(chain(ap, a)),
+            idem_res(i_row - chain(a, ap)),
+            idem_res(i_col - chain(ap, a)),
         ]
     )
     return max(res)
@@ -127,10 +120,10 @@ def check_idempotency_lemma(seed):
 
 def check_one_equivalences(seed):
     a = rt([3, 2], [2, 2], seed)
-    gram = mul(ct(a), a)
+    gram = chain(ct(a), a)
     g1 = sample_g1(gram, seed + 8000)
-    r1 = rres(mul(a, g1, ct(a), a), a)
-    r2 = herm_res(mul(a, g1, ct(a)))
+    r1 = rres(chain(a, g1, ct(a), a), a)
+    r2 = herm_res(chain(a, g1, ct(a)))
     return max(r1, r2)
 
 
@@ -144,31 +137,31 @@ def _orthogonal_pair(seed):
 def check_sum_condition(seed):
     a, b = _orthogonal_pair(seed)
     hyp = max(
-        frobenius_norm(mul(pinv(a), b)), frobenius_norm(mul(pinv(b), a))
+        frobenius_norm(chain(pinv(a), b)), frobenius_norm(chain(pinv(b), a))
     )
-    res = rres(mul(b, pinv(a + b), b), b)
+    res = rres(chain(b, pinv(a + b), b), b)
     return max(hyp, res)
 
 
 def check_consistency_factorization(seed):
     a = rank_deficient([2, 2], [2, 2], seed, rank=2)
     g = sample_g1(a, seed + 10000)
-    planted = mul(a, rt([2, 2], [3], seed + 11000))
-    r_fwd = rres(mul(a, g, planted), planted)
+    planted = chain(a, rt([2, 2], [3], seed + 11000))
+    r_fwd = rres(chain(a, g, planted), planted)
     # a generic right-hand side is outside the range, and both statements
     # of the equivalence must then fail together
     loose = rt([2, 2], [3], seed + 12000)
-    lhs_holds = rres(mul(a, g, loose), loose) <= 1e-6
-    rhs_holds = rres(mul(a, mul(g, loose)), loose) <= 1e-6
+    lhs_holds = rres(chain(a, g, loose), loose) <= 1e-6
+    rhs_holds = rres(chain(a, chain(g, loose)), loose) <= 1e-6
     return max(r_fwd, 0.0 if lhs_holds == rhs_holds else 1.0)
 
 
 def check_range_corollary(seed):
     a = rt([2, 3], [2, 2], seed)
-    gram = mul(ct(a), a)
+    gram = chain(ct(a), a)
     g1 = sample_g1(gram, seed + 13000)
-    r1 = rres(mul(a, g1, gram), a)
-    r2 = rres(mul(gram, g1, ct(a)), ct(a))
+    r1 = rres(chain(a, g1, gram), a)
+    r2 = rres(chain(gram, g1, ct(a)), ct(a))
     return max(r1, r2)
 
 
@@ -177,8 +170,8 @@ def check_transformation(seed):
     s = unit_tensor([2, 2]) + 0.1 * rt([2, 2], [2, 2], seed + 14000)
     t = unit_tensor([2, 2]) + 0.1 * rt([2, 2], [2, 2], seed + 15000)
     g = sample_g1(a, seed + 16000)
-    b = mul(s, a, t)
-    candidate = mul(pinv(t), g, pinv(s))
+    b = chain(s, a, t)
+    candidate = chain(pinv(t), g, pinv(s))
     return eq1_res(b, candidate)
 
 
@@ -187,8 +180,8 @@ def check_one_reverse_necessity(seed):
     residuals = []
     for b in (ct(a), pinv(a)):
         ga, gb = pinv(a), pinv(b)
-        premise = eq1_res(mul(a, b), mul(gb, ga))
-        conclusion = idem_res(mul(ga, a, b, gb))
+        premise = eq1_res(chain(a, b), chain(gb, ga))
+        conclusion = idem_res(chain(ga, a, b, gb))
         residuals.extend([premise, conclusion])
     return max(residuals)
 
@@ -197,19 +190,19 @@ def check_block_and_update(seed):
     a = rt([2, 2], [2, 2], seed)
     b = rt([2, 2], [2, 2], seed + 17000)
     rb = row_block(a, b)
-    res = [rres(mul(rb, pinv(rb), a), a)]
+    res = [rres(chain(rb, pinv(rb), a), a)]
 
     ae, be = _orthogonal_pair(seed + 18000)
-    gsum = mul(ae, ct(ae)) + mul(be, ct(be))
-    res.append(rres(mul(gsum, pinv(gsum), ae), ae))
+    gsum = chain(ae, ct(ae)) + chain(be, ct(be))
+    res.append(rres(chain(gsum, pinv(gsum), ae), ae))
 
     base = rank_deficient([2, 2], [3, 1], seed + 19000, rank=2)
     g = pinv(base)
-    u = mul(base, g, rt([2, 2], [2, 2], seed + 20000))
-    v = mul(rt([2, 2], [3, 1], seed + 21000), g, base)
-    updated = base + mul(u, v)
-    mid = pinv(unit_tensor([2, 2]) + mul(v, g, u))
-    candidate = g - mul(g, u, mid, v, g)
+    u = chain(base, g, rt([2, 2], [2, 2], seed + 20000))
+    v = chain(rt([2, 2], [3, 1], seed + 21000), g, base)
+    updated = base + chain(u, v)
+    mid = pinv(unit_tensor([2, 2]) + chain(v, g, u))
+    candidate = g - chain(g, u, mid, v, g)
     res.append(eq1_res(updated, candidate))
     return max(res)
 
@@ -217,16 +210,16 @@ def check_block_and_update(seed):
 def check_one_four_equivalences(seed):
     a = rank_deficient([2, 3], [2, 2], seed, rank=2)
     g14 = one_four_family(a, pinv(a), rt([2, 2], [2, 3], seed + 22000))
-    outer = mul(a, ct(a))
+    outer = chain(a, ct(a))
     w = sample_g1(outer, seed + 23000)
-    r1 = rres(mul(g14, a, ct(a)), ct(a))
-    r2 = rres(mul(g14, a), mul(ct(a), w, a))
+    r1 = rres(chain(g14, a, ct(a)), ct(a))
+    r2 = rres(chain(g14, a), chain(ct(a), w, a))
 
     g13 = one_three_family(a, pinv(a), rt([2, 2], [2, 3], seed + 24000))
-    gram = mul(ct(a), a)
+    gram = chain(ct(a), a)
     w2 = sample_g1(gram, seed + 25000)
-    r3 = rres(mul(ct(a), a, g13), ct(a))
-    r4 = rres(mul(a, g13), mul(a, w2, ct(a)))
+    r3 = rres(chain(ct(a), a, g13), ct(a))
+    r4 = rres(chain(a, g13), chain(a, w2, ct(a)))
     return max(r1, r2, r3, r4)
 
 
@@ -235,15 +228,15 @@ def check_rol_sufficiency(seed):
     b = ct(a)
     ga = pinv(a)
     gb14 = one_four_family(b, pinv(b), rt([2, 2], [3], seed + 26000))
-    condition = herm_res(mul(ga, a, b, ct(b)))
-    cand = mul(gb14, ga)
-    ab = mul(a, b)
+    condition = herm_res(chain(ga, a, b, ct(b)))
+    cand = chain(gb14, ga)
+    ab = chain(a, b)
     report = penrose_check(ab, cand, tol=1e-9)
     res14 = [condition, report.residuals[0], report.residuals[3]]
 
     gb13 = one_three_family(b, pinv(b), rt([2, 2], [3], seed + 27000))
-    condition13 = herm_res(mul(a, ga, ct(b), b))
-    cand13 = mul(gb13, ga)
+    condition13 = herm_res(chain(a, ga, ct(b), b))
+    cand13 = chain(gb13, ga)
     report13 = penrose_check(ab, cand13, tol=1e-9)
     res13 = [condition13, report13.residuals[0], report13.residuals[2]]
     return max(res14 + res13)

@@ -15,6 +15,7 @@ import numpy as np
 
 from einverse import (
     Tensor,
+    chain,
     conj_transpose,
     einstein_product,
     frobenius_distance,
@@ -27,7 +28,7 @@ from einverse import (
 )
 from einverse.cli import main
 from conftest import ACCEPTANCE_LINES, rank_deficient, rdist, rt
-from identity_checks import ALL_CHECKS, mul
+from identity_checks import ALL_CHECKS
 from golden_data import (
     MP_A,
     MP_A_PINV,
@@ -72,8 +73,8 @@ def test_c1_golden_pseudoinverses():
 def test_c2_reverse_order_counterexample():
     ab = einstein_product(MP_A, MP_B, 2)
     err_c = max_abs(pinv(ab), MP_C)
-    err_d = max_abs(mul(MP_B_PINV, MP_A_PINV), MP_D)
-    gap = frobenius_distance(pinv(ab), mul(pinv(MP_B), pinv(MP_A)))
+    err_d = max_abs(chain(MP_B_PINV, MP_A_PINV), MP_D)
+    gap = frobenius_distance(pinv(ab), chain(pinv(MP_B), pinv(MP_A)))
     ok = err_c <= 1e-10 and err_d <= 1e-10 and gap >= 0.5
     assert report(
         "C2 product-inverse counterexample",
@@ -110,7 +111,7 @@ def _exact_integers(t: Tensor, scale: int) -> np.ndarray:
 def test_c3_one_four_example_product_claim():
     # (a) the published product d = y x and the golden a b are reproduced
     ab = einstein_product(ROL14_A, ROL14_B, 2)
-    prod_err = max_abs(mul(ROL14_Y, ROL14_X), ROL14_D)
+    prod_err = max_abs(chain(ROL14_Y, ROL14_X), ROL14_D)
     c_err = max_abs(ab, ROL14_C)
     # (b) the library grades d as a {1,3}- but not a {1,4}-inverse of a b
     r = penrose_check(ab, ROL14_D)
@@ -143,7 +144,7 @@ def test_c4_one_three_example():
     ab = einstein_product(ROL13_A, ROL13_B, 2)
     rx = _flags_residual(ROL13_A, ROL13_X, (1, 3))
     ry = _flags_residual(ROL13_B, ROL13_Y, (1, 3))
-    prod_err = max_abs(mul(ROL13_Y, ROL13_X), ROL13_D)
+    prod_err = max_abs(chain(ROL13_Y, ROL13_X), ROL13_D)
     rd = _flags_residual(ab, ROL13_D, (1, 3))
     witness = frobenius_distance(conj_transpose(ROL13_T), ROL13_T)
     ok = max(rx, ry, rd) <= 1e-9 and prod_err <= 1e-10 and witness >= 1.0
@@ -173,7 +174,7 @@ def test_c6_solver_suite():
     for seed in range(1, 51):
         a = rank_deficient([2, 2], [3], 3000 + seed, rank=2)
         b = rank_deficient([2], [2, 2], 3100 + seed, rank=1)
-        d = mul(a, rt([3], [2], 3200 + seed), b)
+        d = chain(a, rt([3], [2], 3200 + seed), b)
         direct = solve_axb(a, b, d)
         lifted = solve_axb_via_kronecker(a, b, d)
         agree &= direct.consistent == lifted.consistent
@@ -182,7 +183,7 @@ def test_c6_solver_suite():
             continue
         for zseed in range(5):
             z = rt([3], [2], 3300 + 10 * seed + zseed)
-            if rdist(mul(a, direct.generator(z), b), d) > 1e-9:
+            if rdist(chain(a, direct.generator(z), b), d) > 1e-9:
                 failures.append(("generated", seed, zseed))
     for seed in range(1, 21):
         a = rank_deficient([2, 2], [3], 3400 + seed, rank=2)

@@ -5,6 +5,7 @@ from einverse import (
     ShapeError,
     Tensor,
     block2x2,
+    chain,
     column_block,
     conj_transpose,
     einstein_product,
@@ -35,6 +36,21 @@ def naive_einstein(a: Tensor, b: Tensor, n: int) -> Tensor:
                 acc += a.data[ia + k] * b.data[k + ib]
             out[ia + ib] = acc
     return Tensor(out, len(free_a))
+
+
+def test_chain_of_one_factor_is_the_factor():
+    a = rt([2, 2], [3], seed=40)
+    assert chain(a) is a
+
+
+def test_chain_matches_nested_products_bit_for_bit():
+    a = rt([2, 2], [3, 2], seed=41)
+    b = rt([3, 2], [2], seed=42)
+    c = rt([2], [3, 2], seed=43)
+    nested = einstein_product(einstein_product(a, b, 2), c, 1)
+    got = chain(a, b, c)
+    assert got.shape == nested.shape
+    assert np.array_equal(got.data, nested.data)
 
 
 def test_identity_contraction():

@@ -1,11 +1,23 @@
+import contextlib
+import io
 import json
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from einverse import Tensor, unit_tensor
+from einverse import (
+    Tensor,
+    chain,
+    common_solution,
+    solve_ax,
+    solve_axb,
+    unit_tensor,
+)
 from einverse.cli import main
-from conftest import rt
+from conftest import rank_deficient, rt
 from golden_data import MP_A, MP_A_PINV, MP_B
 
 
@@ -97,6 +109,60 @@ def test_solve_ax_mp_variant(write_tensor, capsys):
     code, doc = run_json(capsys, ["solve-ax", a_path, b_path, "--mp"])
     assert code == 0
     assert doc["consistent"] is True  # generic square a is invertible
+
+
+def solve_verb_operands(verb, consistent):
+    """The library solver behind ``verb``, its operands (with a rank-2 ``a``) and a free tensor."""
+    a = rank_deficient([2, 2], [3], seed=50, rank=2)
+    xhat, other = rt([3], [2], seed=51), rt([3], [2], seed=52)
+    g = rt([2], [2], seed=53)
+    off_range = rt([2, 2], [2], seed=54)  # generically outside the range of a
+    if verb == "solve":
+        d = chain(a, xhat, g) if consistent else off_range
+        return solve_axb, [a, g, d], other
+    if verb == "solve-ax":
+        return solve_ax, [a, chain(a, xhat) if consistent else off_range], other
+    # a x = b and x g = f; another f breaks the coupling a f = b g
+    f = chain(xhat if consistent else other, g)
+    return common_solution, [a, chain(a, xhat), g, f], other
+
+
+SOLVE_VERBS = ("solve", "solve-ax", "common")
+
+
+@pytest.mark.parametrize("verb", SOLVE_VERBS)
+def test_solve_verbs_generator_matches_library(verb, write_tensor, capsys):
+    solver, operands, z = solve_verb_operands(verb, consistent=True)
+    paths = [write_tensor(f"op{i}.json", t) for i, t in enumerate(operands)]
+    code, doc = run_json(capsys, [verb, *paths, "--z", write_tensor("z.json", z)])
+    assert code == 0
+    assert doc["consistent"] is True
+    want = solver(*operands).generator(z).to_json_dict()
+    assert doc["generated_solution"] == want
+
+
+@pytest.mark.parametrize("verb", SOLVE_VERBS)
+def test_solve_verbs_require_consistent(verb, write_tensor, capsys):
+    _, operands, _ = solve_verb_operands(verb, consistent=False)
+    paths = [write_tensor(f"op{i}.json", t) for i, t in enumerate(operands)]
+    code = main([verb, *paths, "--require-consistent"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out)["consistent"] is False
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: inconsistent:")
+
+
+@pytest.mark.parametrize("verb", SOLVE_VERBS)
+def test_solve_verbs_table_format(verb, write_tensor, capsys):
+    _, operands, _ = solve_verb_operands(verb, consistent=True)
+    paths = [write_tensor(f"op{i}.json", t) for i, t in enumerate(operands)]
+    code = main([verb, *paths, "--format", "table"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "consistent: True" in out
+    assert "residual: " in out
+    assert "particular:\n  extents: " in out
 
 
 def test_common_verb(write_tensor, capsys):
@@ -214,3 +280,64 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+_WORDS = st.sampled_from(["x", "", "1,0", "two"])
+_JUNK = st.one_of(st.none(), _WORDS, st.dictionaries(_WORDS, st.integers(), max_size=2))
+_VALID = {"extents": [2, 2], "split": 1, "re": [1.0, 2.0, 3.0, 4.0]}
+
+
+def _replaced(key, values):
+    return values.map(lambda v: json.dumps({**_VALID, key: v}))
+
+
+#: Tensor files that are not tensors, as raw text (or bytes, for bad encodings).
+MALFORMED = st.one_of(
+    st.sampled_from(["", "{", "[1, 2", "null", "3", '"text"', "[]", "{}", "[" * 100_000]),
+    st.sampled_from(sorted(_VALID)).map(
+        lambda k: json.dumps({j: v for j, v in _VALID.items() if j != k})
+    ),
+    _replaced("extents", st.one_of(
+        _JUNK,
+        st.integers(),
+        st.lists(st.integers(max_value=0), min_size=1, max_size=3),
+        st.lists(st.one_of(_JUNK, st.integers(max_value=0)), min_size=1, max_size=3),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda e: prod(e) != 4),
+    )),
+    _replaced("split", st.one_of(_JUNK, st.integers().filter(lambda k: not 0 <= k <= 2))),
+    st.sampled_from(["re", "im"]).flatmap(lambda key: _replaced(key, st.one_of(
+        _JUNK,
+        st.lists(st.floats(allow_nan=False), max_size=6).filter(lambda v: len(v) != 4),
+        st.lists(st.one_of(_JUNK, st.just([1.0, 2.0])), min_size=4, max_size=4),
+        st.tuples(
+            st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+            st.integers(0, 3),
+        ).map(lambda p: [p[0] if i == p[1] else 1.0 for i in range(4)]),
+    ))),
+    st.integers(0, 3).map(
+        lambda i: '{"extents": [2, 2], "split": 1, "re": [%s]}'
+        % ", ".join("1e400" if j == i else "1.0" for j in range(4))
+    ),
+    st.just(b'{"extents": [2, 2], "split": 1, "re": [1, 2, 3, 4], "x": "\xff"}'),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=MALFORMED, position=st.sampled_from(["info", "solve-ax"]))
+def test_malformed_tensor_files_exit_2_with_one_input_line(tmp_path_factory, text, position):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    bad = tmp / "bad.json"
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
+    good = tmp / "good.json"
+    good.write_text(json.dumps(_VALID))
+    argv = ["info", str(bad)] if position == "info" else ["solve-ax", str(good), str(bad)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: input: {bad}")
+    assert out.getvalue() == ""

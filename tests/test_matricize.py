@@ -2,79 +2,55 @@ import numpy as np
 import pytest
 
 from einverse import (
-    FlatMatrix,
     NumericError,
-    ShapeError,
-    TensorShape,
+    Tensor,
     conj_transpose,
     einstein_product,
-    flatten,
     frobenius_distance,
     kronecker,
     matrix_pinv,
     penrose_check,
     pinv,
+    svd,
     transpose,
-    unflatten,
     unit_tensor,
 )
-from conftest import rt
+from conftest import rdist, rt
 from golden_data import MP_A, MP_B, MP_B_PINV
 
 
 def test_flatten_unit_is_identity_matrix():
-    m = flatten(unit_tensor([2, 2]))
-    assert m.rows == m.cols == 4
-    assert np.array_equal(m.data, np.eye(4))
+    m = unit_tensor([2, 2]).as_matrix()
+    assert m.shape == (4, 4)
+    assert np.array_equal(m, np.eye(4))
 
 
 def test_flatten_golden_homomorphism():
-    fa = flatten(MP_A).data
-    fb = flatten(MP_B).data
     ab = einstein_product(MP_A, MP_B, 2)
-    assert np.abs(fa @ fb - flatten(ab).data).max() == 0.0
-
-
-def test_round_trip_exact():
-    t = rt([2, 3], [2, 2], seed=7)
-    back = unflatten(flatten(t), t.shape)
-    assert np.array_equal(back.data, t.data)
-    assert back.split == t.split
+    assert np.abs(MP_A.as_matrix() @ MP_B.as_matrix() - ab.as_matrix()).max() == 0.0
 
 
 def test_unflatten_transposed_partition_is_transpose():
     t = rt([2, 3], [2, 2], seed=8)
-    m = flatten(t)
-    back = unflatten(m.data.T, t.shape.swapped())
+    swapped = t.shape.swapped()
+    back = Tensor(t.as_matrix().T.reshape(swapped.extents), swapped.split)
     assert frobenius_distance(back, transpose(t)) == 0.0
 
 
-def test_unflatten_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        unflatten(np.zeros((2, 3)), TensorShape((2, 2), 1))
-
-
-def test_flatmatrix_provenance_consistency():
-    with pytest.raises(ShapeError):
-        FlatMatrix(np.zeros((2, 3)), TensorShape((2, 2), 1))
-
-
 def test_matrix_pinv_identity_and_zero():
-    eye = FlatMatrix(np.eye(3), TensorShape((3, 3), 1))
-    assert np.abs(matrix_pinv(eye).data - np.eye(3)).max() <= 1e-14
+    assert np.abs(matrix_pinv(np.eye(3)) - np.eye(3)).max() <= 1e-14
     z = matrix_pinv(np.zeros((2, 4)))
     assert z.shape == (4, 2)
     assert np.all(z == 0)
 
 
 def test_matrix_pinv_golden_block():
-    got = matrix_pinv(flatten(MP_B))
-    assert got.provenance == MP_B.shape.swapped()
-    want = flatten(MP_B_PINV).data
-    assert np.abs(got.data - want).max() <= 1e-10
+    got = matrix_pinv(MP_B.as_matrix())
+    assert got.shape == (MP_B.col_count, MP_B.row_count)
+    assert np.abs(got - MP_B_PINV.as_matrix()).max() <= 1e-10
     # spot-check the fractional block: rows (i,j), fixed column pair (2,1)
-    y = unflatten(got, MP_B.shape.swapped())
-    assert y.data[:, :, 1, 0] == pytest.approx(np.array([[0, -0.5], [0, 0.5]]))
+    y = got.reshape(MP_B.shape.swapped().extents)
+    assert y[:, :, 1, 0] == pytest.approx(np.array([[0, -0.5], [0, 0.5]]))
 
 
 def test_matrix_pinv_defining_equations():
@@ -98,21 +74,21 @@ def test_matrix_pinv_rank_tol_truncates():
 def test_homomorphism_oracle(seed):
     a = rt([2, 3], [3, 2], seed=seed)
     b = rt([3, 2], [2, 2], seed=1000 + seed)
-    lhs = flatten(einstein_product(a, b, 2)).data
-    rhs = flatten(a).data @ flatten(b).data
+    lhs = einstein_product(a, b, 2).as_matrix()
+    rhs = a.as_matrix() @ b.as_matrix()
     assert np.abs(lhs - rhs).max() <= 1e-13
 
 
 def test_flatten_commutes_with_conj_transpose():
     t = rt([2, 3], [2, 2], seed=17)
-    assert np.array_equal(flatten(conj_transpose(t)).data, flatten(t).data.conj().T)
+    assert np.array_equal(conj_transpose(t).as_matrix(), t.as_matrix().conj().T)
 
 
 def test_flatten_commutes_with_kronecker():
     a = rt([2, 2], [3, 2], seed=18)
     b = rt([2], [3], seed=19)
-    lhs = flatten(kronecker(a, b)).data
-    rhs = np.kron(flatten(a).data, flatten(b).data)
+    lhs = kronecker(a, b).as_matrix()
+    rhs = np.kron(a.as_matrix(), b.as_matrix())
     assert np.array_equal(lhs, rhs)
 
 
@@ -124,6 +100,12 @@ def test_failed_svd_is_retried_with_gesvd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", _svd_not_converging)
     a = rt([2, 3], [2, 2], seed=31)
     assert penrose_check(a, pinv(a)).all_satisfied
+
+
+def test_tensor_svd_is_retried_with_gesvd(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _svd_not_converging)
+    a = rt([2, 3], [3, 2], seed=32)
+    assert rdist(svd(a).reconstruct(), a) <= 1e-12
 
 
 def test_svd_failing_in_both_drivers_raises_numeric_error(monkeypatch):

@@ -9,10 +9,10 @@ from einverse import (
     ShapeError,
     Tensor,
     block2x2,
+    chain,
     column_block,
     conj_transpose as ct,
     common_solution,
-    einstein_product,
     frobenius_distance,
     frobenius_norm,
     mp_from_13_14,
@@ -33,15 +33,8 @@ from einverse.solver import SOLVE_TOL
 from conftest import rank_deficient, rdist, rt
 
 
-def mul(*ts):
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = einstein_product(acc, t, acc.order - acc.split)
-    return acc
-
-
 def equation_residual(a, x, b, d):
-    return rdist(mul(a, x, b), d)
+    return rdist(chain(a, x, b), d)
 
 
 class TestSolveAxb:
@@ -60,7 +53,7 @@ class TestSolveAxb:
         a = rank_deficient([2, 2], [3], seed, rank=2)
         b = rank_deficient([2], [2, 2], 100 + seed, rank=1)
         xhat = rt([3], [2], 200 + seed)
-        d = mul(a, xhat, b)
+        d = chain(a, xhat, b)
         outcome = solve_axb(a, b, d)
         assert outcome.consistent
         assert outcome.residual <= 1e-9
@@ -103,20 +96,20 @@ class TestSolveAx:
     def test_planted_solution(self):
         a = rank_deficient([2, 2], [2, 2], seed=13, rank=2)
         xhat = rt([2, 2], [2], seed=14)
-        b = mul(a, xhat)
+        b = chain(a, xhat)
         outcome = solve_ax(a, b)
         assert outcome.consistent
         for yseed in range(3):
             y = rt([2, 2], [2], seed=500 + yseed)
             x = outcome.generator(y)
-            assert rdist(mul(a, x), b) <= 1e-9
+            assert rdist(chain(a, x), b) <= 1e-9
 
     def test_rhs_outside_range(self):
         a = rank_deficient([2, 2], [2, 2], seed=15, rank=2)
         w = rt([2, 2], [2], seed=16)
         # push the right-hand side into the cokernel of a
-        proj = unit_tensor([2, 2]) - mul(a, pinv(a))
-        b = mul(proj, w)
+        proj = unit_tensor([2, 2]) - chain(a, pinv(a))
+        b = chain(proj, w)
         assert frobenius_norm(b) > 0.01
         outcome = solve_ax(a, b)
         assert not outcome.consistent
@@ -136,26 +129,26 @@ class TestCommonSolution:
         a = rank_deficient([2, 2], [2, 2], 600 + seed, rank=2)
         d = rank_deficient([3], [3], 700 + seed, rank=2)
         xhat = rt([2, 2], [3], 800 + seed)
-        b = mul(a, xhat)
-        f = mul(xhat, d)
+        b = chain(a, xhat)
+        f = chain(xhat, d)
         outcome = common_solution(a, b, d, f)
         assert outcome.consistent
         x = outcome.particular
-        assert rdist(mul(a, x), b) <= 1e-9
-        assert rdist(mul(x, d), f) <= 1e-9
+        assert rdist(chain(a, x), b) <= 1e-9
+        assert rdist(chain(x, d), f) <= 1e-9
         z = rt([2, 2], [3], 900 + seed)
         xz = outcome.generator(z)
-        assert rdist(mul(a, xz), b) <= 1e-9
-        assert rdist(mul(xz, d), f) <= 1e-9
+        assert rdist(chain(a, xz), b) <= 1e-9
+        assert rdist(chain(xz, d), f) <= 1e-9
 
     def test_individually_solvable_but_incompatible(self):
         a = rank_deficient([2, 2], [2, 2], seed=22, rank=2)
         d = rank_deficient([3], [3], seed=23, rank=2)
         xhat = rt([2, 2], [3], seed=24)
         other = rt([2, 2], [3], seed=25)
-        b = mul(a, xhat)
-        f = mul(other, d)  # solvable on its own, breaks the coupling
-        assert rdist(mul(a, f), mul(b, d)) > 1e-3
+        b = chain(a, xhat)
+        f = chain(other, d)  # solvable on its own, breaks the coupling
+        assert rdist(chain(a, f), chain(b, d)) > 1e-3
         outcome = common_solution(a, b, d, f)
         assert not outcome.consistent
 
@@ -164,15 +157,15 @@ class TestVerifyUniqueTriple:
     def test_same_tensor(self):
         a = rt([2, 2], [3], seed=31)
         x = pinv(a)
-        b = mul(a, x)
-        d = mul(x, a)
+        b = chain(a, x)
+        d = chain(x, a)
         assert verify_unique_triple(a, b, d, x, x)
 
     def test_independent_constructions_agree(self):
         a = rank_deficient([2, 2], [3], seed=32, rank=2)
         g = pinv(a)
-        b = mul(a, g)
-        d = mul(g, a)
+        b = chain(a, g)
+        d = chain(g, a)
         g14 = one_four_family(a, g, rt([3], [2, 2], seed=33))
         g13 = one_three_family(a, g, rt([3], [2, 2], seed=34))
         x = mp_from_13_14(a, g14, g13)
@@ -187,8 +180,8 @@ class TestVerifyUniqueTriple:
     def test_precondition_violation_is_distinct(self):
         a = rt([2, 2], [3], seed=37)
         x = pinv(a)
-        b = mul(a, x)
-        d = mul(x, a)
+        b = chain(a, x)
+        d = chain(x, a)
         with pytest.raises(PreconditionError):
             verify_unique_triple(a, b, d, x, 2.0 * x)
 
@@ -206,7 +199,7 @@ class TestKroneckerRoute:
         a = rank_deficient([2, 2], [3], 1000 + seed, rank=2)
         b = rank_deficient([2], [2, 2], 1100 + seed, rank=1)
         xhat = rt([3], [2], 1200 + seed)
-        d = mul(a, xhat, b)
+        d = chain(a, xhat, b)
         direct = solve_axb(a, b, d)
         lifted = solve_axb_via_kronecker(a, b, d)
         assert direct.consistent and lifted.consistent
@@ -239,13 +232,13 @@ class TestCompletenessAtDeskScale:
         a = Tensor.from_flat((2, 2), 1, [1, 0, 1, 0])
         b = Tensor.from_flat((2, 2), 1, [0, 1, 0, -1])
         xhat = Tensor.from_flat((2, 2), 1, [1, -1, 0, 1])
-        d = mul(a, xhat, b)
+        d = chain(a, xhat, b)
         outcome = solve_axb(a, b, d)
         assert outcome.consistent
         solutions = [
             x
             for x in lattice_tensors()
-            if frobenius_distance(mul(a, x, b), d) == 0.0
+            if frobenius_distance(chain(a, x, b), d) == 0.0
         ]
         assert len(solutions) > 1  # singular coefficients leave freedom
         for s in solutions:
@@ -264,8 +257,8 @@ class TestSylvesterReduction:
         i1 = unit_tensor([2, 2])
         i2 = unit_tensor([3])
         middle = block2x2(x, zeros_like(x), zeros_like(x), x)
-        lhs = mul(row_block(a, i1), middle, column_block(i2, b))
-        rhs = mul(a, x) + mul(x, b)
+        lhs = chain(row_block(a, i1), middle, column_block(i2, b))
+        rhs = chain(a, x) + chain(x, b)
         assert rdist(lhs, rhs) <= 1e-12
 
 
@@ -280,7 +273,7 @@ class TestChoiceOfOneInverse:
             a = rank_deficient([2, 2], [3], 1700 + seed, rank=2)
             b = rank_deficient([2], [2, 2], 1800 + seed, rank=1)
             if seed % 2:
-                d = mul(a, rt([3], [2], 1900 + seed), b)  # consistent
+                d = chain(a, rt([3], [2], 1900 + seed), b)  # consistent
                 truth = True
             else:
                 d = rt([2, 2], [2, 2], 2000 + seed)  # generic: inconsistent
@@ -317,7 +310,7 @@ class TestFactorReuse:
     def test_repeated_solves_factor_the_operator_once(self, svd_calls):
         a = rt([2, 3], [3, 2], seed=2300)
         b = ct(a)
-        ds = [mul(a, free_tensor(a, b, 2400 + j), b) for j in range(32)]
+        ds = [chain(a, free_tensor(a, b, 2400 + j), b) for j in range(32)]
         zs = [zeros((3, 2, 3, 2), 2)] + [free_tensor(a, b, 2500 + k) for k in range(3)]
         for d in ds:
             outcome = solve_axb(a, b, d)
@@ -331,9 +324,9 @@ class TestFactorReuse:
         x = rt([3, 2], [3, 2], seed=2601)
         del svd_calls[:]  # rank_deficient's own SVD
         # two separate conjugate-transpose tensors: each is recognized
-        axb = solve_axb(a, ct(a), mul(a, x, ct(a)))
-        ax = solve_ax(a, mul(a, x))
-        pair = common_solution(a, mul(a, x), ct(a), mul(x, ct(a)))
+        axb = solve_axb(a, ct(a), chain(a, x, ct(a)))
+        ax = solve_ax(a, chain(a, x))
+        pair = common_solution(a, chain(a, x), ct(a), chain(x, ct(a)))
         for outcome in (axb, ax, pair):
             assert outcome.consistent
             outcome.generator(rt([3, 2], [3, 2], seed=2602))
@@ -367,37 +360,37 @@ class TestFactorReuse:
     def test_results_match_unmemoized_formulas(self, adjoint):
         a = rank_deficient([2, 2], [3, 2], seed=2800, rank=3)
         b = ct(a) if adjoint else rt([3, 2], [2], seed=2801)
-        d = mul(a, free_tensor(a, b, 2802), b)
+        d = chain(a, free_tensor(a, b, 2802), b)
         z = free_tensor(a, b, 2803)
         ga, gb = unmemoized_pinv(a), unmemoized_pinv(b)
-        x0 = mul(ga, d, gb)
+        x0 = chain(ga, d, gb)
         outcome = solve_axb(a, b, d)
         for _ in range(2):  # the second call reads the kept projectors
             assert rdist(outcome.particular, x0) <= SOLVE_TOL
-            assert rdist(outcome.generator(z), x0 + z - mul(ga, a, z, b, gb)) <= SOLVE_TOL
+            assert rdist(outcome.generator(z), x0 + z - chain(ga, a, z, b, gb)) <= SOLVE_TOL
             outcome = solve_axb(a, b, d)
         if not adjoint:  # b's own SVD: the same arithmetic as without a memo
             assert np.array_equal(outcome.particular.data, x0.data)
 
-        rhs = mul(a, z)
+        rhs = chain(a, z)
         y = rt([3, 2], z.col_extents, seed=2804)
         outcome = solve_ax(a, rhs)
-        assert rdist(outcome.particular, mul(ga, rhs)) <= SOLVE_TOL
-        assert rdist(outcome.generator(y), mul(ga, rhs) + y - mul(ga, a, y)) <= SOLVE_TOL
+        assert rdist(outcome.particular, chain(ga, rhs)) <= SOLVE_TOL
+        assert rdist(outcome.generator(y), chain(ga, rhs) + y - chain(ga, a, y)) <= SOLVE_TOL
 
         if adjoint:
-            b3, f3 = mul(a, z), mul(z, b)
+            b3, f3 = chain(a, z), chain(z, b)
             outcome = common_solution(a, b3, b, f3)
-            x0 = mul(ga, b3) + mul(f3, gb) - mul(ga, a, f3, gb)
-            proj = unit_tensor(a.col_extents) - mul(ga, a)
-            coproj = unit_tensor(b.row_extents) - mul(b, gb)
+            x0 = chain(ga, b3) + chain(f3, gb) - chain(ga, a, f3, gb)
+            proj = unit_tensor(a.col_extents) - chain(ga, a)
+            coproj = unit_tensor(b.row_extents) - chain(b, gb)
             assert rdist(outcome.particular, x0) <= SOLVE_TOL
-            assert rdist(outcome.generator(y), x0 + mul(proj, y, coproj)) <= SOLVE_TOL
+            assert rdist(outcome.generator(y), x0 + chain(proj, y, coproj)) <= SOLVE_TOL
 
     def test_explicit_inverses_are_not_kept_on_the_operands(self):
         a = rank_deficient([2, 2], [2, 2], seed=2900, rank=2)
         b = rank_deficient([2, 2], [2, 2], seed=2901, rank=2)
-        d = mul(a, rt([2, 2], [2, 2], seed=2902), b)
+        d = chain(a, rt([2, 2], [2, 2], seed=2902), b)
         g_a = one_inverse_family(a, pinv(a), rt([2, 2], [2, 2], seed=2903))
         g_b = one_inverse_family(b, pinv(b), rt([2, 2], [2, 2], seed=2904))
         z = rt([2, 2], [2, 2], seed=2905)
@@ -405,8 +398,8 @@ class TestFactorReuse:
         custom = solve_axb(a, b, d, g_a=g_a, g_b=g_b).generator(z)
         default = solve_axb(a, b, d).generator(z)
         ga, gb = pinv(a), pinv(b)
-        assert rdist(custom, mul(g_a, d, g_b) + z - mul(g_a, a, z, b, g_b)) <= SOLVE_TOL
-        assert rdist(default, mul(ga, d, gb) + z - mul(ga, a, z, b, gb)) <= SOLVE_TOL
+        assert rdist(custom, chain(g_a, d, g_b) + z - chain(g_a, a, z, b, g_b)) <= SOLVE_TOL
+        assert rdist(default, chain(ga, d, gb) + z - chain(ga, a, z, b, gb)) <= SOLVE_TOL
         assert rdist(custom, default) > 1e-6
 
     def test_kept_factors_are_freed_with_their_tensor(self):
@@ -420,9 +413,9 @@ class TestFactorReuse:
             a = rt([2, 2], [3, 2], seed=3000)
             x = rt([3, 2], [3, 2], seed=3001)
             outcomes = [
-                solve_axb(a, ct(a), mul(a, x, ct(a))),
-                solve_ax(a, mul(a, x)),
-                common_solution(a, mul(a, x), ct(a), mul(x, ct(a))),
+                solve_axb(a, ct(a), chain(a, x, ct(a))),
+                solve_ax(a, chain(a, x)),
+                common_solution(a, chain(a, x), ct(a), chain(x, ct(a))),
             ]
             for outcome in outcomes:
                 outcome.generator(x)

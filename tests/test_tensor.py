@@ -11,10 +11,12 @@ from einverse import (
     Tensor,
     TensorShape,
     conj_transpose,
+    einstein_product,
     frobenius_distance,
     is_hermitian,
     is_idempotent,
     is_unitary,
+    pinv,
     transpose,
     unit_tensor,
     zeros,
@@ -179,6 +181,21 @@ def test_json_rejects_malformed_documents():
         Tensor.from_json_dict(
             {"extents": [2], "split": 1, "re": [1.0, 2.0], "im": [0.0]}
         )
+    for doc in (
+        {"extents": [2, 2], "split": 1, "re": ["x", 1.0, 2.0, 3.0]},
+        {"extents": [-2, 2], "split": 1, "re": [1.0, 2.0, 3.0, 4.0]},
+        {"extents": [2, 2], "split": 3, "re": [1.0, 2.0, 3.0, 4.0]},
+        {"extents": [2], "split": 1, "re": [1.0, 10**400]},
+        {"extents": [2], "split": 1, "re": [1.0, 2.0], "im": [{}, 0.0]},
+        [2, 1, [1.0, 2.0]],
+    ):
+        with pytest.raises(ShapeError, match="malformed tensor document"):
+            Tensor.from_json_dict(doc)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ShapeError, match="'re' has non-finite values"):
+            Tensor.from_json_dict({"extents": [2], "split": 1, "re": [1.0, bad]})
+        with pytest.raises(ShapeError, match="'im' has non-finite values"):
+            Tensor.from_json_dict({"extents": [1], "split": 1, "re": [0.0], "im": [bad]})
 
 
 def test_tensor_is_immutable():
@@ -187,6 +204,27 @@ def test_tensor_is_immutable():
         t.data[0, 0] = 5.0
     with pytest.raises(AttributeError):
         t.split = 0
+
+
+SYMMETRIC = [[2.0, 1.0], [1.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Tensor(np.array(SYMMETRIC), 1),
+        lambda: einstein_product(unit_tensor([2]), Tensor(np.array(SYMMETRIC), 1), 1),
+        lambda: Tensor.from_json_dict({"extents": [2, 2], "split": 1, "re": [2, 1, 1, 3]}),
+    ],
+    ids=["array", "product", "json"],
+)
+def test_data_cannot_be_made_writable(build):
+    t = build()
+    x = pinv(t)
+    with pytest.raises(ValueError):
+        t.data.setflags(write=True)
+    assert t.data[0, 0] == 2.0
+    assert pinv(t) is x
 
 
 def test_read_only_view_of_writable_array_is_copied():
