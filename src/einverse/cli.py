@@ -65,7 +65,11 @@ def _emit(doc: dict, out: str | None, fmt: str):
     if fmt == "table":
         text = "\n".join(_table_lines(doc)) + "\n"
     else:
-        text = json.dumps(doc, indent=2) + "\n"
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            # strict JSON has no NaN or Infinity; a non-finite result is a failure
+            raise NumericError(f"non-finite value in output: {exc}") from exc
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -223,21 +227,37 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _add_common(parser, tol_default):
-    parser.add_argument("--tol", type=float, default=tol_default, help="tolerance")
-    parser.add_argument("--out", help="write the JSON document here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output rendering"
-    )
+_SOLVE_OPTIONS = (
+    ("--z", dict(help="free-tensor file to feed the solution generator")),
+    ("--require-consistent",
+     dict(action="store_true", help="exit 4 when the system is inconsistent")),
+)
 
-
-def _add_solver_flags(parser):
-    parser.add_argument("--z", help="free-tensor file to feed the solution generator")
-    parser.add_argument(
-        "--require-consistent",
-        action="store_true",
-        help="exit 4 when the system is inconsistent",
-    )
+#: Each verb: its help, positional operands, own options as (flag, add_argument
+#: keywords), default ``--tol`` and handler.  Every verb also takes --tol, --out
+#: and --format, after its own options.
+_VERBS = {
+    "pinv": ("Moore-Penrose inverse of a tensor", ("tensor",), (), DEFAULT_TOL, _cmd_pinv),
+    "ginv": ("sample a {lambda}-inverse", ("tensor",), (
+        ("--lambda", dict(dest="lam", required=True, help="e.g. 1 | 1,2 | 1,3 | 1,4 | mp")),
+        ("--seed", dict(type=int, default=0)),
+    ), DEFAULT_TOL, _cmd_ginv),
+    "solve": ("solve a x b = d", _SOLVERS["solve"][1], _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
+    "solve-ax": ("solve a x = b", _SOLVERS["solve-ax"][1], (
+        ("--mp", dict(action="store_true", help="accepted for compatibility; no effect")),
+        *_SOLVE_OPTIONS,
+    ), SOLVE_TOL, _cmd_solve),
+    "common": ("common solution of a x = b and x d = f", _SOLVERS["common"][1],
+               _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
+    "check-rol": ("reverse-order-law diagnostic for a b", ("a", "b"), (
+        ("--lambda", dict(dest="lam", required=True, help="1 | 1,3 | 1,4 | mp")),
+        ("--ga", dict(help="tensor file with a specific lambda-inverse of a")),
+        ("--gb", dict(help="tensor file with a specific lambda-inverse of b")),
+    ), DEFAULT_TOL, _cmd_check_rol),
+    "verify": ("grade x against the four defining equations for a", ("a", "x"), (),
+               DEFAULT_TOL, _cmd_verify),
+    "info": ("shape, split, and norm of a tensor file", ("tensor",), (), DEFAULT_TOL, _cmd_info),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,64 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("pinv", help="Moore-Penrose inverse of a tensor")
-    p.add_argument("tensor")
-    _add_common(p, DEFAULT_TOL)
-    p.set_defaults(func=_cmd_pinv)
-
-    p = sub.add_parser("ginv", help="sample a {lambda}-inverse")
-    p.add_argument("tensor")
-    p.add_argument("--lambda", dest="lam", required=True, help="e.g. 1 | 1,2 | 1,3 | 1,4 | mp")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, DEFAULT_TOL)
-    p.set_defaults(func=_cmd_ginv)
-
-    p = sub.add_parser("solve", help="solve a x b = d")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("d")
-    _add_solver_flags(p)
-    _add_common(p, SOLVE_TOL)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("solve-ax", help="solve a x = b")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--mp", action="store_true", help="accepted for compatibility; no effect")
-    _add_solver_flags(p)
-    _add_common(p, SOLVE_TOL)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("common", help="common solution of a x = b and x d = f")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("d")
-    p.add_argument("f")
-    _add_solver_flags(p)
-    _add_common(p, SOLVE_TOL)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("check-rol", help="reverse-order-law diagnostic for a b")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--lambda", dest="lam", required=True, help="1 | 1,3 | 1,4 | mp")
-    p.add_argument("--ga", help="tensor file with a specific lambda-inverse of a")
-    p.add_argument("--gb", help="tensor file with a specific lambda-inverse of b")
-    _add_common(p, DEFAULT_TOL)
-    p.set_defaults(func=_cmd_check_rol)
-
-    p = sub.add_parser("verify", help="grade x against the four defining equations for a")
-    p.add_argument("a")
-    p.add_argument("x")
-    _add_common(p, DEFAULT_TOL)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("info", help="shape, split, and norm of a tensor file")
-    p.add_argument("tensor")
-    _add_common(p, DEFAULT_TOL)
-    p.set_defaults(func=_cmd_info)
-
+    for verb, (help_text, operands, options, tol, handler) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for name in operands:
+            p.add_argument(name)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--tol", type=float, default=tol, help="tolerance")
+        p.add_argument("--out", help="write the JSON document here instead of stdout")
+        p.add_argument(
+            "--format", choices=("json", "table"), default="json", help="output rendering"
+        )
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -21,6 +21,8 @@ from .matricize import _svd, matrix_pinv
 from .tensor import (
     DEFAULT_TOL,
     Tensor,
+    _relative_residual,
+    _require_free_shape,
     conj_transpose,
     frobenius_distance,
     frobenius_norm,
@@ -67,10 +69,10 @@ def penrose_check(a: Tensor, x: Tensor, tol: float = DEFAULT_TOL) -> PenroseRepo
         raise ShapeError(f"candidate {x!r} does not match {a!r} with groups swapped")
     ax = chain(a, x)
     xa = chain(x, a)
-    r1 = frobenius_distance(chain(ax, a), a) / (1.0 + frobenius_norm(a))
-    r2 = frobenius_distance(chain(xa, x), x) / (1.0 + frobenius_norm(x))
-    r3 = frobenius_distance(conj_transpose(ax), ax) / (1.0 + frobenius_norm(ax))
-    r4 = frobenius_distance(conj_transpose(xa), xa) / (1.0 + frobenius_norm(xa))
+    r1 = _relative_residual(chain(ax, a), a)
+    r2 = _relative_residual(chain(xa, x), x)
+    r3 = _relative_residual(conj_transpose(ax), ax)
+    r4 = _relative_residual(conj_transpose(xa), xa)
     return PenroseReport.from_residuals((r1, r2, r3, r4), tol)
 
 
@@ -160,8 +162,7 @@ def one_inverse_family(a: Tensor, g1: Tensor, y: Tensor, tol: float = DEFAULT_TO
     of ``g1``'s shape the formula generates the entire class.
     """
     _require_lambda_inverse(a, g1, (1,), tol, "g1")
-    if y.shape != g1.shape:
-        raise ShapeError(f"free tensor {y!r} must be shaped like {g1!r}")
+    _require_free_shape(y, g1)
     return g1 + y - chain(g1, a, y, a, g1)
 
 
@@ -175,8 +176,7 @@ def reflexive_from_two(a: Tensor, y: Tensor, z: Tensor, tol: float = DEFAULT_TOL
 def one_three_family(a: Tensor, g13: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
     """Member ``g13 + (I - g13 a) y`` of the {1,3}-inverse class of ``a``."""
     _require_lambda_inverse(a, g13, (1, 3), tol, "g13")
-    if y.shape != g13.shape:
-        raise ShapeError(f"free tensor {y!r} must be shaped like {g13!r}")
+    _require_free_shape(y, g13)
     proj = unit_tensor(a.col_extents) - chain(g13, a)
     return g13 + chain(proj, y)
 
@@ -184,8 +184,7 @@ def one_three_family(a: Tensor, g13: Tensor, y: Tensor, tol: float = DEFAULT_TOL
 def one_four_family(a: Tensor, g14: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
     """Member ``g14 + y (I - a g14)`` of the {1,4}-inverse class of ``a``."""
     _require_lambda_inverse(a, g14, (1, 4), tol, "g14")
-    if y.shape != g14.shape:
-        raise ShapeError(f"free tensor {y!r} must be shaped like {g14!r}")
+    _require_free_shape(y, g14)
     proj = unit_tensor(a.row_extents) - chain(a, g14)
     return g14 + chain(y, proj)
 
@@ -263,28 +262,28 @@ class ReverseOrderDiagnosis:
     reverse_order_holds: bool | None = None
 
 
-def _hermitian_check(name: str, factors, tol: float) -> ConditionCheck:
-    # A condition whose product is not shape-conformable (the published
-    # operand orders disagree) is reported as NaN / not holding.
+def _condition(name: str, pair, tol: float) -> ConditionCheck:
+    """Whether ``p = q`` holds for ``p, q = pair()``: ``||p - q||_F <= tol (1 + ||q||_F)``.
+
+    A condition whose product or comparison is not shape-conformable (published
+    operand orders can disagree) is reported as NaN / not holding.
+    """
     try:
-        q = chain(*factors)
-    except ShapeError:
-        return ConditionCheck(name, float("nan"), False)
-    res = frobenius_distance(conj_transpose(q), q)
-    return ConditionCheck(name, res, res <= tol * (1.0 + frobenius_norm(q)))
-
-
-def _idempotent_check(name: str, q: Tensor, tol: float) -> ConditionCheck:
-    res = frobenius_distance(chain(q, q), q)
-    return ConditionCheck(name, res, res <= tol * (1.0 + frobenius_norm(q)))
-
-
-def _distance_check(name: str, p: Tensor, q: Tensor, tol: float) -> ConditionCheck:
-    try:
+        p, q = pair()
         res = frobenius_distance(p, q)
     except ShapeError:
-        return ConditionCheck(name, float("inf"), False)
+        return ConditionCheck(name, float("nan"), False)
     return ConditionCheck(name, res, res <= tol * (1.0 + frobenius_norm(q)))
+
+
+def _hermitian(*factors) -> tuple[Tensor, Tensor]:
+    q = chain(*factors)
+    return conj_transpose(q), q
+
+
+def _idempotent(*factors) -> tuple[Tensor, Tensor]:
+    q = chain(*factors)
+    return chain(q, q), q
 
 
 def reverse_order_diagnose(
@@ -321,47 +320,33 @@ def reverse_order_diagnose(
     report = penrose_check(ab, candidate, tol)
     candidate_ok = report.satisfies(flags)
 
+    pairs = {
+        "1": {"ga_a_b_gb_idempotent": lambda: _idempotent(ga, a, b, gb)},
+        "1,3": {"a_ga_bstar_b_hermitian": lambda: _hermitian(a, ga, conj_transpose(b), b)},
+        "1,4": {
+            "ga_a_b_bstar_hermitian": lambda: _hermitian(ga, a, b, conj_transpose(b)),
+            "a_ga_bstar_b_hermitian": lambda: _hermitian(a, ga, conj_transpose(b), b),
+        },
+        "mp": {
+            "b_equals_a_conj_transpose": lambda: (b, conj_transpose(a)),
+            "b_equals_mp_inverse_of_a": lambda: (b, pinv(a)),
+            "a_conj_transpose_a_is_unit": lambda: (
+                chain(conj_transpose(a), a), unit_tensor(a.col_extents)
+            ),
+            "b_b_conj_transpose_is_unit": lambda: (
+                chain(b, conj_transpose(b)), unit_tensor(b.row_extents)
+            ),
+        },
+    }[str(kind)]
+    conditions = tuple(_condition(name, pair, tol) for name, pair in pairs.items())
+    # any one of the Moore-Penrose conditions suffices; otherwise the first is the
+    # sufficient one ({1,4} also reports the other published operand order)
+    sufficient = any(c.holds for c in conditions) if kind.is_mp else conditions[0].holds
     mp_distance = None
     rol_holds = None
     if kind.is_mp:
-        mp = pinv(ab)
-        conditions = (
-            _distance_check("b_equals_a_conj_transpose", b, conj_transpose(a), tol),
-            _distance_check("b_equals_mp_inverse_of_a", b, pinv(a), tol),
-            _distance_check(
-                "a_conj_transpose_a_is_unit", chain(conj_transpose(a), a),
-                unit_tensor(a.col_extents), tol,
-            ),
-            _distance_check(
-                "b_b_conj_transpose_is_unit", chain(b, conj_transpose(b)),
-                unit_tensor(b.row_extents), tol,
-            ),
-        )
-        mp_distance = frobenius_distance(candidate, mp)
-        rol_holds = mp_distance <= tol * (1.0 + frobenius_norm(mp))
-        sufficient = any(c.holds for c in conditions)
-    elif kind.flags == {1}:
-        conditions = (
-            _idempotent_check("ga_a_b_gb_idempotent", chain(ga, a, b, gb), tol),
-        )
-        sufficient = conditions[0].holds
-    elif kind.flags == {1, 3}:
-        conditions = (
-            _hermitian_check(
-                "a_ga_bstar_b_hermitian", (a, ga, conj_transpose(b), b), tol
-            ),
-        )
-        sufficient = conditions[0].holds
-    else:  # {1, 4}
-        conditions = (
-            _hermitian_check(
-                "ga_a_b_bstar_hermitian", (ga, a, b, conj_transpose(b)), tol
-            ),
-            _hermitian_check(
-                "a_ga_bstar_b_hermitian", (a, ga, conj_transpose(b), b), tol
-            ),
-        )
-        sufficient = conditions[0].holds
+        rol = _condition("candidate_is_mp_inverse", lambda: (candidate, pinv(ab)), tol)
+        mp_distance, rol_holds = rol.residual, rol.holds
 
     return ReverseOrderDiagnosis(
         kind=kind,

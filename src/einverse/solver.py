@@ -26,6 +26,8 @@ from .inverses import _pinv_sharing, pinv
 from .tensor import (
     Tensor,
     TensorShape,
+    _relative_residual,
+    _require_free_shape,
     frobenius_distance,
     frobenius_norm,
     transpose,
@@ -68,10 +70,6 @@ class SolveOutcome:
     generator: Callable[[Tensor], Tensor] | None
 
 
-def _outcome(consistent, x0, residual, generator):
-    return SolveOutcome(bool(consistent), x0, float(residual), generator)
-
-
 def solve_axb(
     a: Tensor,
     b: Tensor,
@@ -98,18 +96,17 @@ def solve_axb(
     ga = pinv(a) if g_a is None else g_a
     gb = _pinv_sharing(b, a) if g_b is None else g_b
     x0 = chain(ga, d, gb)
-    residual = frobenius_distance(chain(a, x0, b), d) / (1.0 + frobenius_norm(d))
+    residual = _relative_residual(chain(a, x0, b), d)
     # the projectors are built on the generator's first call, not before
     left = functools.cache(functools.partial(_left_projector, a, g_a))
     right = functools.cache(functools.partial(_right_projector, b, g_b))
     x_shape = x0.shape
 
     def generator(z: Tensor) -> Tensor:
-        if z.shape != x_shape:
-            raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
+        _require_free_shape(z, x_shape)
         return x0 + z - chain(left(), z, right())
 
-    return _outcome(residual <= tol, x0, residual, generator)
+    return SolveOutcome(residual <= tol, x0, residual, generator)
 
 
 def solve_ax(
@@ -126,16 +123,15 @@ def solve_ax(
     if b.row_extents != a.row_extents:
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
     x0 = chain(pinv(a) if g is None else g, b)
-    residual = frobenius_distance(chain(a, x0), b) / (1.0 + frobenius_norm(b))
+    residual = _relative_residual(chain(a, x0), b)
     proj = functools.cache(lambda: unit_tensor(a.col_extents) - _left_projector(a, g))
     x_shape = x0.shape
 
     def generator(y: Tensor) -> Tensor:
-        if y.shape != x_shape:
-            raise ShapeError(f"free tensor {y!r} must be shaped like {x_shape}")
+        _require_free_shape(y, x_shape)
         return x0 + chain(proj(), y)
 
-    return _outcome(residual <= tol, x0, residual, generator)
+    return SolveOutcome(residual <= tol, x0, residual, generator)
 
 
 def common_solution(
@@ -157,15 +153,11 @@ def common_solution(
     g_d = _pinv_sharing(d, a)
     left = _left_projector(a, None)
     x0 = chain(g_a, b) + chain(f, g_d) - chain(left, f, g_d)
-    r_left = frobenius_distance(chain(a, g_a, b), b) / (1.0 + frobenius_norm(b))
-    r_right = frobenius_distance(chain(f, g_d, d), f) / (1.0 + frobenius_norm(f))
-    bd = chain(b, d)
-    r_couple = frobenius_distance(chain(a, f), bd) / (1.0 + frobenius_norm(bd))
+    r_left = _relative_residual(chain(a, g_a, b), b)
+    r_right = _relative_residual(chain(f, g_d, d), f)
+    r_couple = _relative_residual(chain(a, f), chain(b, d))
     consistent = max(r_left, r_right, r_couple) <= tol
-    residual = max(
-        frobenius_distance(chain(a, x0), b) / (1.0 + frobenius_norm(b)),
-        frobenius_distance(chain(x0, d), f) / (1.0 + frobenius_norm(f)),
-    )
+    residual = max(_relative_residual(chain(a, x0), b), _relative_residual(chain(x0, d), f))
     free_left = functools.cache(lambda: unit_tensor(a.col_extents) - left)
     free_right = functools.cache(
         lambda: unit_tensor(d.row_extents) - _right_projector(d, None)
@@ -173,11 +165,10 @@ def common_solution(
     x_shape = x0.shape
 
     def generator(z: Tensor) -> Tensor:
-        if z.shape != x_shape:
-            raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
+        _require_free_shape(z, x_shape)
         return x0 + chain(free_left(), z, free_right())
 
-    return _outcome(consistent, x0, residual, generator)
+    return SolveOutcome(consistent, x0, residual, generator)
 
 
 def verify_unique_triple(
@@ -191,16 +182,12 @@ def verify_unique_triple(
     Returns whether the two are within the error bound the three relations
     allow.
     """
-
-    def _residuals(w: Tensor):
-        return (
-            frobenius_distance(chain(a, w), b) / (1.0 + frobenius_norm(b)),
-            frobenius_distance(chain(w, a), d) / (1.0 + frobenius_norm(d)),
-            frobenius_distance(chain(w, a, w), w) / (1.0 + frobenius_norm(w)),
-        )
-
     for name, w in (("x", x), ("y", y)):
-        rs = _residuals(w)
+        rs = (
+            _relative_residual(chain(a, w), b),
+            _relative_residual(chain(w, a), d),
+            _relative_residual(chain(w, a, w), w),
+        )
         if max(rs) > tol:
             raise PreconditionError(
                 f"{name} violates the defining relations (residuals {rs})"
@@ -225,18 +212,18 @@ def solve_axb_via_kronecker(
     if d.row_extents != a.row_extents or d.col_extents != b.col_extents:
         raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")
     big = kronecker(a, transpose(b))
-    g = pinv(big)
+    # pinv(a kron b^T) = pinv(a) kron pinv(b)^T: the factors' kept inverses, no lifted SVD
+    g = kronecker(pinv(a), transpose(pinv(b)))
     x_shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
     x0v = chain(g, vec(d))
     x0 = unvec(x0v, x_shape)
-    residual = frobenius_distance(chain(a, x0, b), d) / (1.0 + frobenius_norm(d))
+    residual = _relative_residual(chain(a, x0, b), d)
     gop = chain(g, big)
 
     def generator(z: Tensor) -> Tensor:
-        if z.shape != x_shape:
-            raise ShapeError(f"free tensor {z!r} must be shaped like {x_shape}")
+        _require_free_shape(z, x_shape)
         zv = vec(z)
         xv = x0v + zv - chain(gop, zv)
         return unvec(xv, x_shape)
 
-    return _outcome(residual <= tol, x0, residual, generator)
+    return SolveOutcome(residual <= tol, x0, residual, generator)

@@ -89,6 +89,11 @@ def _frozen(arr: np.ndarray) -> bool:
     return True
 
 
+def _all_of(values: list, types: tuple) -> bool:
+    """True when every entry is of ``types``; JSON booleans (Python ``bool``) never are."""
+    return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
+
+
 class Tensor:
     """Immutable dense complex tensor with a fixed row/column split.
 
@@ -231,13 +236,21 @@ class Tensor:
         """Inverse of :meth:`to_json_dict`; extra keys are ignored.
 
         Raises :class:`ShapeError` for a document that is not a tensor:
-        missing or unconvertible fields, invalid extents or split, a wrong
-        entry count, or non-finite entries.
+        missing fields, fields of the wrong JSON type (``extents`` must be a
+        non-empty array of integers, ``split`` an integer, ``re``/``im``
+        arrays of numbers), invalid extents or split, a wrong entry count, or
+        non-finite entries.
         """
         try:
-            shape = TensorShape(tuple(doc["extents"]), int(doc["split"]))
+            extents, split = doc["extents"], doc["split"]
+            if not (isinstance(extents, list) and extents and _all_of([*extents, split], int)):
+                raise TypeError("extents must be a non-empty array of integers, split an integer")
+            shape = TensorShape(tuple(extents), split)
             keys = ("re", "im") if "im" in doc else ("re",)
-            parts = {k: np.asarray(doc[k], dtype=np.float64).ravel() for k in keys}
+            for k in keys:
+                if not (isinstance(doc[k], list) and _all_of(doc[k], (int, float))):
+                    raise TypeError(f"{k!r} must be an array of numbers")
+            parts = {k: np.asarray(doc[k], dtype=np.float64) for k in keys}
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ShapeError(f"malformed tensor document: {exc}") from exc
         n = prod(shape.extents)
@@ -254,6 +267,12 @@ class Tensor:
 def _require_same_shape(a: Tensor, b: Tensor):
     if a.extents != b.extents or a.split != b.split:
         raise ShapeError(f"shape mismatch: {a!r} vs {b!r}")
+
+
+def _require_free_shape(z: Tensor, like):
+    """Raise unless the free tensor ``z`` is shaped like ``like`` (a tensor or a shape)."""
+    if z.shape != (like.shape if isinstance(like, Tensor) else like):
+        raise ShapeError(f"free tensor {z!r} must be shaped like {like!r}")
 
 
 def _require_square(a: Tensor):
@@ -311,6 +330,11 @@ def frobenius_distance(a: Tensor, b: Tensor) -> float:
     """Frobenius norm of ``a - b``; zero iff entrywise equal."""
     _require_same_shape(a, b)
     return float(np.linalg.norm((a.data - b.data).ravel()))
+
+
+def _relative_residual(got: Tensor, want: Tensor) -> float:
+    """``||got - want||_F / (1 + ||want||_F)``: the residual of the equation ``got = want``."""
+    return frobenius_distance(got, want) / (1.0 + frobenius_norm(want))
 
 
 def _resolved_tol(tol, a: Tensor) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -12,6 +13,8 @@ from einverse import (
     Tensor,
     chain,
     common_solution,
+    conj_transpose,
+    random_tensor,
     solve_ax,
     solve_axb,
     unit_tensor,
@@ -276,6 +279,128 @@ def test_bad_lambda_exit_code(write_tensor, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def strict_json(text):
+    """Parse ``text`` as strict JSON: the NaN and Infinity tokens are refused."""
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def every_verb(write_tensor):
+    """One argument list per verb (and per check-rol kind), on well-formed files."""
+    a = rank_deficient([2, 2], [3], seed=60, rank=2)
+    path = {
+        name: write_tensor(f"{name}.json", t)
+        for name, t in {
+            "a": a, "g": rt([2], [2], seed=61), "d": rt([2, 2], [2], seed=62),
+            "f": rt([3], [2], seed=63), "z": rt([3], [2], seed=64),
+            "x": rt([3], [2, 2], seed=67), "n23": rt([2], [3], seed=65),
+            "n34": rt([3], [4], seed=66),
+        }.items()
+    }
+    argvs = [
+        ["pinv", path["a"]],
+        ["ginv", path["a"], "--lambda", "1,2", "--seed", "3"],
+        ["solve", path["a"], path["g"], path["d"], "--z", path["z"]],
+        ["solve-ax", path["a"], path["d"], "--z", path["z"]],
+        ["common", path["a"], path["d"], path["g"], path["f"], "--z", path["z"]],
+        ["verify", path["a"], path["x"]],
+        ["info", path["a"]],
+    ]
+    for lam in ("1", "1,3", "1,4", "mp"):
+        argvs.append(["check-rol", path["a"], path["f"], "--lambda", lam])
+        # operands whose published conditions are not all conformable
+        argvs.append(["check-rol", path["n23"], path["n34"], "--lambda", lam])
+    return argvs
+
+
+def test_every_verb_writes_strict_json(write_tensor, capsys):
+    for argv in every_verb(write_tensor):
+        assert main(argv) == 0, argv
+        strict_json(capsys.readouterr().out)
+
+
+HUGE = Tensor(np.array([[1e200, 2e200], [3e200, 4e200]]), 1)
+
+
+@pytest.mark.parametrize("verb", ["pinv", "verify", "info"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_non_finite_output_is_a_numeric_error(verb, to_file, write_tensor, tmp_path, capsys):
+    path = write_tensor("huge.json", HUGE)
+    out = tmp_path / "out.json"
+    argv = [verb, path] + ([path] if verb == "verify" else []) + (["--out", str(out)] * to_file)
+    # the unscaled Frobenius norm of these finite entries overflows
+    with pytest.warns(RuntimeWarning):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numeric: ")
+
+
+def numpy_conditions(a, b, lam, tol=1e-10):
+    """check-rol's conditions and (for mp) its reverse-order verdict, on the flattenings.
+
+    A condition whose product or comparison is not conformable gives ``(None, False)``.
+    """
+    m_a, m_b = a.as_matrix(), b.as_matrix()
+    g_a, g_b = np.linalg.pinv(m_a), np.linalg.pinv(m_b)
+    star = lambda m: m.conj().T  # noqa: E731
+
+    def check(p_of, *factors):
+        try:
+            q = reduce(np.matmul, factors)
+            p = p_of(q)
+        except ValueError:  # non-conformable factors
+            return None, False
+        if p.shape != q.shape:
+            return None, False
+        res = float(np.linalg.norm(p - q))
+        return res, res <= tol * (1.0 + float(np.linalg.norm(q)))
+
+    def equal_to(m):
+        return lambda q: m
+
+    a_side = check(star, m_a, g_a, star(m_b), m_b)
+    if lam == "1":
+        return [check(lambda q: q @ q, g_a, m_a, m_b, g_b)], None
+    if lam == "1,3":
+        return [a_side], None
+    if lam == "1,4":
+        return [check(star, g_a, m_a, m_b, star(m_b)), a_side], None
+    conditions = [
+        check(equal_to(m_b), star(m_a)),
+        check(equal_to(m_b), g_a),
+        check(equal_to(star(m_a) @ m_a), np.eye(m_a.shape[1])),
+        check(equal_to(m_b @ star(m_b)), np.eye(m_b.shape[0])),
+    ]
+    return conditions, check(equal_to(g_b @ g_a), np.linalg.pinv(m_a @ m_b))
+
+
+@pytest.mark.parametrize("lam", ["1", "1,3", "1,4", "mp"])
+@pytest.mark.parametrize("b_kind", ["conj_transpose", "general"])
+def test_check_rol_matches_plain_numpy(lam, b_kind, write_tensor, capsys):
+    # the library example's operand and, as b, its conjugate transpose or a general tensor
+    a = random_tensor((2, 2, 3), split=2, seed=7)
+    b = conj_transpose(a) if b_kind == "conj_transpose" else random_tensor((3, 2), 1, seed=9)
+    argv = ["check-rol", write_tensor("a.json", a), write_tensor("b.json", b), "--lambda", lam]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    conditions, rol = numpy_conditions(a, b, lam)
+    assert [c["holds"] for c in doc["conditions"]] == [holds for _, holds in conditions]
+    for got, (want, _) in zip(doc["conditions"], conditions):
+        assert got["residual"] == (None if want is None else pytest.approx(want, abs=1e-12))
+    if rol is None:
+        assert "mp_distance" not in doc and "reverse_order_holds" not in doc
+    else:
+        assert doc["mp_distance"] == pytest.approx(rol[0], rel=1e-6, abs=1e-12)
+        assert doc["reverse_order_holds"] is rol[1]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -319,6 +444,16 @@ MALFORMED = st.one_of(
         % ", ".join("1e400" if j == i else "1.0" for j in range(4))
     ),
     st.just(b'{"extents": [2, 2], "split": 1, "re": [1, 2, 3, 4], "x": "\xff"}'),
+    # JSON types outside the schema, which numeric conversion alone would accept
+    st.sampled_from([
+        {**_VALID, "extents": "22"},
+        {**_VALID, "extents": [2.5, 2]},
+        {**_VALID, "split": True},
+        {**_VALID, "re": ["1", 2.0, 3.0, 4.0]},
+        {**_VALID, "re": [True, 2.0, 3.0, 4.0]},
+        {**_VALID, "im": [0.0, "1", 0.0, 0.0]},
+        {"extents": [], "split": 0, "re": [1.0]},
+    ]).map(json.dumps),
 )
 
 

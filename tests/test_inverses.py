@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,17 @@ class TestReverseOrderDiagnose:
         diag = reverse_order_diagnose(a, pinv(a), LambdaKind.parse("1"))
         assert diag.sufficient_condition_holds
         assert diag.candidate_is_inverse
+
+    def test_non_conformable_mp_conditions_are_nan_and_fail(self):
+        a, b = rt([2], [3], seed=3), rt([3], [4], seed=4)
+        diag = reverse_order_diagnose(a, b, LambdaKind.parse("mp"))
+        checks = {c.name: c for c in diag.conditions}
+        # b is 3x4, while a* and pinv(a) are 3x2: neither comparison is defined
+        for name in ("b_equals_a_conj_transpose", "b_equals_mp_inverse_of_a"):
+            assert math.isnan(checks[name].residual)
+            assert checks[name].holds is False
+        for name in ("a_conj_transpose_a_is_unit", "b_b_conj_transpose_is_unit"):
+            assert math.isfinite(checks[name].residual)
 
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):

@@ -220,6 +220,49 @@ class TestKroneckerRoute:
         assert direct.consistent == lifted.consistent is False
         assert abs(direct.residual - lifted.residual) <= 1e-9
 
+    def test_inverts_the_factors_not_the_lift(self, svd_calls):
+        a = rank_deficient([2, 2], [3], seed=45, rank=2)
+        b = rank_deficient([2], [2, 2], seed=46, rank=1)
+        d = chain(a, rt([3], [2], seed=47), b)
+        svd_calls.clear()  # the operands were built with SVDs of their own
+        assert solve_axb_via_kronecker(a, b, d).consistent
+        # one SVD per factor's flattening (4x3 and 2x4), none of the 16x6 lift
+        assert sorted(svd_calls) == [(2, 4), (4, 3)]
+
+
+def _free_tensor_entry_points():
+    """Each entry point that takes a free tensor, as a call on a wrong-shaped one."""
+    a = rank_deficient([2, 2], [3], seed=48, rank=2)
+    g = pinv(a)
+    b, d2, f = rt([2], [2], seed=49), rt([2], [2], seed=50), rt([3], [2], seed=51)
+    d = chain(a, rt([3], [2], seed=52), b)
+    return {
+        "one_inverse_family": lambda y: one_inverse_family(a, g, y),
+        "one_three_family": lambda y: one_three_family(a, g, y),
+        "one_four_family": lambda y: one_four_family(a, g, y),
+        "solve_axb": solve_axb(a, b, d).generator,
+        "solve_ax": solve_ax(a, chain(a, f)).generator,
+        "common_solution": common_solution(a, chain(a, f), d2, chain(f, d2)).generator,
+        "solve_axb_via_kronecker": solve_axb_via_kronecker(a, b, d).generator,
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, expected",
+    [
+        (name, "free tensor Tensor(2 | 2) must be shaped like Tensor(3 | 2x2)")
+        for name in ("one_inverse_family", "one_three_family", "one_four_family")
+    ]
+    + [
+        (name, "free tensor Tensor(2 | 2) must be shaped like TensorShape(extents=(3, 2), split=1)")
+        for name in ("solve_axb", "solve_ax", "common_solution", "solve_axb_via_kronecker")
+    ],
+)
+def test_free_tensor_of_wrong_shape_is_refused_with_its_message(entry, expected):
+    with pytest.raises(ShapeError) as exc:
+        _free_tensor_entry_points()[entry](rt([2], [2], seed=53))
+    assert str(exc.value) == expected
+
 
 def lattice_tensors():
     values = [-1.0, 0.0, 1.0]

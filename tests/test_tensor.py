@@ -188,6 +188,16 @@ def test_json_rejects_malformed_documents():
         {"extents": [2], "split": 1, "re": [1.0, 10**400]},
         {"extents": [2], "split": 1, "re": [1.0, 2.0], "im": [{}, 0.0]},
         [2, 1, [1.0, 2.0]],
+        # JSON types outside the schema, which conversion alone would accept
+        {"extents": "22", "split": 1, "re": [1.0, 2.0, 3.0, 4.0]},
+        {"extents": [2.5, 2], "split": 1, "re": [1.0, 2.0, 3.0, 4.0]},
+        {"extents": [2, 2], "split": True, "re": [1.0, 2.0, 3.0, 4.0]},
+        {"extents": [2, 2], "split": 1.0, "re": [1.0, 2.0, 3.0, 4.0]},
+        {"extents": [2, 2], "split": 1, "re": ["1", 2.0, 3.0, 4.0]},
+        {"extents": [2, 2], "split": 1, "re": [True, 2.0, 3.0, 4.0]},
+        {"extents": [2, 2], "split": 1, "re": [[1.0, 2.0], [3.0, 4.0]]},
+        {"extents": [2], "split": 1, "re": [1.0, 2.0], "im": [0.0, False]},
+        {"extents": [], "split": 0, "re": [1.0]},
     ):
         with pytest.raises(ShapeError, match="malformed tensor document"):
             Tensor.from_json_dict(doc)
