@@ -13,9 +13,12 @@ precondition failures, 3 shape errors, 4 inconsistent system under
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .errors import NumericError, PreconditionError, ShapeError
@@ -61,20 +64,97 @@ def _json_safe(value):
     return value
 
 
+#: Floats per write when a float run is streamed, so the largest write is bounded.
+_RUN_CHUNK = 1024
+_INDENT = "  "
+
+
+def _float_run(value) -> bool:
+    """A non-empty list of floats, such as a tensor's ``re`` or ``im`` entries."""
+    return type(value) is list and bool(value) and set(map(type, value)) == {float}
+
+
+def _run_text(run: list, level: int):
+    """``run`` as ``json.dumps(indent=2)`` writes it at nesting ``level``, in chunks.
+
+    Each chunk goes through the C encoder; its ``", "`` separators become
+    the indented ones.
+    """
+    newline = "\n" + _INDENT * (level + 1)
+    sep = "," + newline
+    yield "[" + newline
+    for start in range(0, len(run), _RUN_CHUNK):
+        if start:
+            yield sep
+        yield json.dumps(run[start : start + _RUN_CHUNK], allow_nan=False)[1:-1].replace(", ", sep)
+    yield "\n" + _INDENT * level + "]"
+
+
+def _render(value, level: int) -> str:
+    # JSON text escapes every newline inside a string, so each one here starts a line
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + _INDENT * level)
+
+
+def _layout(value, level: int) -> list | None:
+    """``json.dumps(value, indent=2)`` at nesting ``level``, as iterables of text.
+
+    Returns None when ``value`` holds no float run, so it is rendered whole.
+    Otherwise the other parts are rendered now and each run is a lazy
+    :func:`_run_text`.  Raises ValueError on any non-finite float, so
+    nothing is written.  Dict keys are strings, as in every CLI document.
+    """
+    if _float_run(value):
+        if not all(map(math.isfinite, value)):
+            raise ValueError("non-finite float")
+        return [_run_text(value, level)]
+    if isinstance(value, dict):
+        heads, children, brackets = [json.dumps(key) + ": " for key in value], value.values(), "{}"
+    elif isinstance(value, list):
+        heads, children, brackets = [""] * len(value), value, "[]"
+    else:
+        return None
+    layouts = [(child, _layout(child, level + 1)) for child in children]
+    if not any(layout for _, layout in layouts):
+        return None
+    newline = "\n" + _INDENT * (level + 1)
+    parts = [(brackets[0],)]
+    for i, (head, (child, layout)) in enumerate(zip(heads, layouts)):
+        parts.append((("," if i else "") + newline + head,))
+        parts.extend(layout or [(_render(child, level + 1),)])
+    parts.append(("\n" + _INDENT * level + brackets[1],))
+    return parts
+
+
+def _json_text(doc: dict):
+    """The text of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, piece by piece.
+
+    Float runs are written ``_RUN_CHUNK`` floats at a time, so no string of
+    the whole document is built.  Every float is checked before the first
+    piece is returned; a non-finite one raises the reference encoder's own
+    ValueError.
+    """
+    try:
+        parts = _layout(doc, 0) or [(_render(doc, 0),)]
+    except ValueError:
+        json.dumps(doc, indent=2, allow_nan=False)  # raises the reference message
+        raise
+    return itertools.chain.from_iterable([*parts, ("\n",)])
+
+
 def _emit(doc: dict, out: str | None, fmt: str):
     if fmt == "table":
-        text = "\n".join(_table_lines(doc)) + "\n"
+        pieces = ["\n".join(_table_lines(doc)) + "\n"]
     else:
         try:
-            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+            pieces = _json_text(doc)
         except ValueError as exc:
             # strict JSON has no NaN or Infinity; a non-finite result is a failure
             raise NumericError(f"non-finite value in output: {exc}") from exc
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _table_lines(doc, prefix=""):
@@ -286,7 +366,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is reported once, as a numeric error, not also as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _CliError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return exc.code

@@ -211,19 +211,19 @@ def solve_axb_via_kronecker(
     """
     if d.row_extents != a.row_extents or d.col_extents != b.col_extents:
         raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")
-    big = kronecker(a, transpose(b))
     # pinv(a kron b^T) = pinv(a) kron pinv(b)^T: the factors' kept inverses, no lifted SVD
     g = kronecker(pinv(a), transpose(pinv(b)))
     x_shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
     x0v = chain(g, vec(d))
     x0 = unvec(x0v, x_shape)
     residual = _relative_residual(chain(a, x0, b), d)
-    gop = chain(g, big)
+    # the lifted projector is built on the generator's first call, not before
+    gop = functools.cache(lambda: chain(g, kronecker(a, transpose(b))))
 
     def generator(z: Tensor) -> Tensor:
         _require_free_shape(z, x_shape)
         zv = vec(z)
-        xv = x0v + zv - chain(gop, zv)
+        xv = x0v + zv - chain(gop(), zv)
         return unvec(xv, x_shape)
 
     return SolveOutcome(residual <= tol, x0, residual, generator)

@@ -1,14 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
 from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import einverse
 from einverse import (
     Tensor,
     chain,
@@ -19,6 +24,7 @@ from einverse import (
     solve_axb,
     unit_tensor,
 )
+from einverse import cli
 from einverse.cli import main
 from conftest import rank_deficient, rt
 from golden_data import MP_A, MP_A_PINV, MP_B
@@ -332,14 +338,117 @@ def test_non_finite_output_is_a_numeric_error(verb, to_file, write_tensor, tmp_p
     out = tmp_path / "out.json"
     argv = [verb, path] + ([path] if verb == "verify" else []) + (["--out", str(out)] * to_file)
     # the unscaled Frobenius norm of these finite entries overflows
-    with pytest.warns(RuntimeWarning):
-        code = main(argv)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert not out.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numeric: ")
+
+
+TINY = Tensor(np.array([[1e-310, 0.0], [0.0, 1e-310]]), 1)
+
+
+@pytest.mark.parametrize("tensor", [HUGE, TINY], ids=["1e200", "diagonal-1e-310"])
+def test_numeric_failure_prints_one_stderr_line(tensor, write_tensor):
+    # numpy warns on these (overflow in the norm, or in 1/sigma); only the error line may show
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(einverse.__file__))}
+    argv = [sys.executable, "-m", "einverse.cli", "pinv", write_tensor("t.json", tensor)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numeric: "), done.stderr
+
+
+def reference_text(doc):
+    """What the JSON writer must produce: the pure-Python indenting encoder's bytes."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def test_every_verb_writes_the_reference_encoder_bytes(write_tensor, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for argv in every_verb(write_tensor):
+        assert main(argv) == 0, argv
+        text = capsys.readouterr().out
+        assert text == reference_text(json.loads(text)), argv
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert out.read_text(encoding="utf-8") == text, argv
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22, 1.0, -2.5e-308])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4), _FLOATS,
+              st.lists(_FLOATS, max_size=9)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON, chunk=st.integers(1, 4))
+def test_json_writer_matches_the_reference_encoder(doc, chunk):
+    with mock.patch.object(cli, "_RUN_CHUNK", chunk):
+        assert "".join(cli._json_text(doc)) == reference_text(doc)
+
+
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bad=_NON_FINITE,
+    where=st.sampled_from(["run", "scalar after a run", "mixed list"]),
+    position=st.integers(0, 2 * 1024 + 1),
+    to_file=st.booleans(),
+)
+def test_non_finite_value_anywhere_writes_nothing(tmp_path_factory, bad, where, position, to_file):
+    run = [0.25] * (2 * 1024 + 2)
+    doc = {"particular": {"extents": [len(run)], "split": 0, "re": run}, "residual": 0.5}
+    if where == "run":
+        run[position] = bad
+    elif where == "scalar after a run":
+        doc["mp_distance"] = bad
+    else:
+        doc["conditions"] = [None, 1.0] * (position % 3) + [bad]
+    with pytest.raises(ValueError) as want:
+        reference_text(doc)
+    out = tmp_path_factory.mktemp("nonfinite") / "out.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), pytest.raises(einverse.NumericError) as got:
+        cli._emit(doc, str(out) if to_file else None, "json")
+    assert str(got.value) == f"non-finite value in output: {want.value}"
+    assert stdout.getvalue() == ""
+    assert not out.exists()
+
+
+class _RecordingStdout(io.StringIO):
+    """An in-memory stdout that keeps the size of every ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_large_output_is_written_in_bounded_pieces(write_tensor, monkeypatch):
+    a = random_tensor((16, 16, 16, 16), split=2, seed=11)  # 65,536 entries, 131,072 floats
+    path = write_tensor("a.json", a)
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["pinv", path]) == 0
+    text = stdout.getvalue()
+    assert text == reference_text(json.loads(text))
+    # a float repr has at most 24 characters; each is followed by ",\n" and a 4-space indent
+    bound = cli._RUN_CHUNK * (24 + 2 + 4)
+    assert max(stdout.sizes) <= bound < len(text) // 50
 
 
 def numpy_conditions(a, b, lam, tol=1e-10):

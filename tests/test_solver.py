@@ -229,6 +229,29 @@ class TestKroneckerRoute:
         # one SVD per factor's flattening (4x3 and 2x4), none of the 16x6 lift
         assert sorted(svd_calls) == [(2, 4), (4, 3)]
 
+    def test_lifted_product_waits_for_the_generator(self, monkeypatch):
+        import einverse.solver as solver
+
+        a = rank_deficient([2, 2], [3], seed=45, rank=2)
+        b = rank_deficient([2], [2, 2], seed=46, rank=1)
+        d = chain(a, rt([3], [2], seed=47), b)
+        lifted_products = []
+        real_chain = solver.chain
+
+        def spying_chain(*factors):
+            # the lift a kron b^T flattens to 16x6
+            if any((f.row_count, f.col_count) == (16, 6) for f in factors):
+                lifted_products.append(factors)
+            return real_chain(*factors)
+
+        monkeypatch.setattr(solver, "chain", spying_chain)
+        outcome = solve_axb_via_kronecker(a, b, d)
+        assert outcome.consistent and lifted_products == []
+        z = rt([3], [2], seed=48)
+        assert equation_residual(a, outcome.generator(z), b, d) <= 1e-9
+        outcome.generator(z)
+        assert len(lifted_products) == 1  # built on the first call, then kept
+
 
 def _free_tensor_entry_points():
     """Each entry point that takes a free tensor, as a call on a wrong-shaped one."""
