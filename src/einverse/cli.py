@@ -66,90 +66,77 @@ def _json_safe(value):
 
 #: Floats per write when a float run is streamed, so the largest write is bounded.
 _RUN_CHUNK = 1024
-_INDENT = "  "
+_RUN = object()  # stands for a float run in a document's skeleton
 
 
-def _float_run(value) -> bool:
-    """A non-empty list of floats, such as a tensor's ``re`` or ``im`` entries."""
-    return type(value) is list and bool(value) and set(map(type, value)) == {float}
+def _without_runs(value, runs: list, strings: list):
+    """``value`` with each finite float run (non-empty list of floats) replaced by ``_RUN``.
 
-
-def _run_text(run: list, level: int):
-    """``run`` as ``json.dumps(indent=2)`` writes it at nesting ``level``, in chunks.
-
-    Each chunk goes through the C encoder; its ``", "`` separators become
-    the indented ones.
+    Appends the replaced runs, and every key and string value, to ``runs``
+    and ``strings`` in document order.
     """
-    newline = "\n" + _INDENT * (level + 1)
-    sep = "," + newline
-    yield "[" + newline
+    if isinstance(value, str):
+        strings.append(value)
+    elif type(value) is list and value and set(map(type, value)) == {float}:
+        if all(map(math.isfinite, value)):
+            runs.append(value)
+            return _RUN
+    if isinstance(value, dict):
+        strings.extend(map(str, value))
+        return {key: _without_runs(child, runs, strings) for key, child in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_without_runs(child, runs, strings) for child in value]
+    return value
+
+
+def _run_text(head: str, run: list):
+    """``head``, then ``run`` as ``json.dumps(indent=2)`` writes it after ``head``'s last line.
+
+    Chunks of ``_RUN_CHUNK`` floats go through the C encoder; their ``", "``
+    separators become the indented ones.
+    """
+    line = head.rpartition("\n")[2]
+    newline = "\n" + line[: len(line) - len(line.lstrip(" "))]  # at the indent of that line
+    sep = "," + newline + "  "
+    yield head + "[" + newline + "  "
     for start in range(0, len(run), _RUN_CHUNK):
         if start:
             yield sep
         yield json.dumps(run[start : start + _RUN_CHUNK], allow_nan=False)[1:-1].replace(", ", sep)
-    yield "\n" + _INDENT * level + "]"
-
-
-def _render(value, level: int) -> str:
-    # JSON text escapes every newline inside a string, so each one here starts a line
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + _INDENT * level)
-
-
-def _layout(value, level: int) -> list | None:
-    """``json.dumps(value, indent=2)`` at nesting ``level``, as iterables of text.
-
-    Returns None when ``value`` holds no float run, so it is rendered whole.
-    Otherwise the other parts are rendered now and each run is a lazy
-    :func:`_run_text`.  Raises ValueError on any non-finite float, so
-    nothing is written.  Dict keys are strings, as in every CLI document.
-    """
-    if _float_run(value):
-        if not all(map(math.isfinite, value)):
-            raise ValueError("non-finite float")
-        return [_run_text(value, level)]
-    if isinstance(value, dict):
-        heads, children, brackets = [json.dumps(key) + ": " for key in value], value.values(), "{}"
-    elif isinstance(value, list):
-        heads, children, brackets = [""] * len(value), value, "[]"
-    else:
-        return None
-    layouts = [(child, _layout(child, level + 1)) for child in children]
-    if not any(layout for _, layout in layouts):
-        return None
-    newline = "\n" + _INDENT * (level + 1)
-    parts = [(brackets[0],)]
-    for i, (head, (child, layout)) in enumerate(zip(heads, layouts)):
-        parts.append((("," if i else "") + newline + head,))
-        parts.extend(layout or [(_render(child, level + 1),)])
-    parts.append(("\n" + _INDENT * level + brackets[1],))
-    return parts
+    yield newline + "]"
 
 
 def _json_text(doc: dict):
     """The text of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, piece by piece.
 
-    Float runs are written ``_RUN_CHUNK`` floats at a time, so no string of
-    the whole document is built.  Every float is checked before the first
-    piece is returned; a non-finite one raises the reference encoder's own
-    ValueError.
+    The reference encoder renders the document with each float run replaced
+    by a placeholder string, and each run is streamed, ``_RUN_CHUNK`` floats
+    at a time, in its placeholder's place; no string of the whole document is
+    built.  A non-finite float is left in place, so that rendering raises the
+    reference encoder's own ValueError before anything is returned.
     """
-    try:
-        parts = _layout(doc, 0) or [(_render(doc, 0),)]
-    except ValueError:
-        json.dumps(doc, indent=2, allow_nan=False)  # raises the reference message
-        raise
-    return itertools.chain.from_iterable([*parts, ("\n",)])
+    runs, strings = [], []
+    skeleton = _without_runs(doc, runs, strings)
+    placeholder = "run"  # in no key or string value, so its token marks only runs
+    while any(placeholder in s for s in strings):
+        placeholder += "~"
+
+    def token(obj):  # any other object is refused, as by the reference encoder
+        return placeholder if obj is _RUN else json.JSONEncoder().default(obj)
+
+    text = json.dumps(skeleton, indent=2, allow_nan=False, default=token)
+    heads = text.split(json.dumps(placeholder))
+    return itertools.chain(*map(_run_text, heads, runs), [heads[-1] + "\n"])
 
 
 def _emit(doc: dict, out: str | None, fmt: str):
+    try:
+        pieces = _json_text(doc)
+    except ValueError as exc:
+        # strict JSON has no NaN or Infinity; a non-finite result is a failure in either format
+        raise NumericError(f"non-finite value in output: {exc}") from exc
     if fmt == "table":
         pieces = ["\n".join(_table_lines(doc)) + "\n"]
-    else:
-        try:
-            pieces = _json_text(doc)
-        except ValueError as exc:
-            # strict JSON has no NaN or Infinity; a non-finite result is a failure
-            raise NumericError(f"non-finite value in output: {exc}") from exc
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -204,14 +191,12 @@ def _sample_lambda_inverse(a: Tensor, kind: LambdaKind, seed: int) -> Tensor:
         )
     if flags == {1, 3}:
         return one_three_family(a, base, y)
-    if flags == {1, 4}:
-        return one_four_family(a, base, y)
-    raise _CliError(2, "argument", f"no sampler for lambda={kind}")
+    return one_four_family(a, base, y)  # {1, 4}, the last of _GINV_KINDS
 
 
 def _cmd_ginv(args) -> int:
+    kind = _parse_kind(args.lam, _GINV_KINDS)
     a = _load_tensor(args.tensor)
-    kind = _parse_kind(args.lam)
     g = _sample_lambda_inverse(a, kind, args.seed)
     report = penrose_check(a, g, args.tol)
     doc = _tensor_doc(
@@ -222,11 +207,22 @@ def _cmd_ginv(args) -> int:
     return 0
 
 
-def _parse_kind(text: str) -> LambdaKind:
+#: The --lambda kinds ginv samples and check-rol diagnoses, as ``str(LambdaKind)``.
+_GINV_KINDS = ("1", "1,2", "1,3", "1,4", "mp")
+_ROL_KINDS = ("1", "1,3", "1,4", "mp")
+
+
+def _parse_kind(text: str, supported: tuple[str, ...]) -> LambdaKind:
+    """The kind ``text`` names; an argument error unless it is one of ``supported``."""
     try:
-        return LambdaKind.parse(text)
+        kind = LambdaKind.parse(text)
     except ValueError as exc:
         raise _CliError(2, "argument", str(exc)) from exc
+    if str(kind) not in supported:
+        raise _CliError(
+            2, "argument", f"unsupported lambda={kind}; choose one of {' | '.join(supported)}"
+        )
+    return kind
 
 
 #: Solve verbs: the solver each runs and the operand files it takes, in order.
@@ -258,9 +254,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_rol(args) -> int:
+    kind = _parse_kind(args.lam, _ROL_KINDS)
     a = _load_tensor(args.a)
     b = _load_tensor(args.b)
-    kind = _parse_kind(args.lam)
     ga = _load_tensor(args.ga) if args.ga else None
     gb = _load_tensor(args.gb) if args.gb else None
     diag = reverse_order_diagnose(a, b, kind, ga=ga, gb=gb, tol=args.tol)
@@ -319,7 +315,7 @@ _SOLVE_OPTIONS = (
 _VERBS = {
     "pinv": ("Moore-Penrose inverse of a tensor", ("tensor",), (), DEFAULT_TOL, _cmd_pinv),
     "ginv": ("sample a {lambda}-inverse", ("tensor",), (
-        ("--lambda", dict(dest="lam", required=True, help="e.g. 1 | 1,2 | 1,3 | 1,4 | mp")),
+        ("--lambda", dict(dest="lam", required=True, help="e.g. " + " | ".join(_GINV_KINDS))),
         ("--seed", dict(type=int, default=0)),
     ), DEFAULT_TOL, _cmd_ginv),
     "solve": ("solve a x b = d", _SOLVERS["solve"][1], _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
@@ -330,7 +326,7 @@ _VERBS = {
     "common": ("common solution of a x = b and x d = f", _SOLVERS["common"][1],
                _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
     "check-rol": ("reverse-order-law diagnostic for a b", ("a", "b"), (
-        ("--lambda", dict(dest="lam", required=True, help="1 | 1,3 | 1,4 | mp")),
+        ("--lambda", dict(dest="lam", required=True, help=" | ".join(_ROL_KINDS))),
         ("--ga", dict(help="tensor file with a specific lambda-inverse of a")),
         ("--gb", dict(help="tensor file with a specific lambda-inverse of b")),
     ), DEFAULT_TOL, _cmd_check_rol),

@@ -81,5 +81,4 @@ def random_tensor(extents, split: int, seed: int, complex_entries: bool = True) 
     np.multiply(draws, 2.0**-53, out=parts)
     parts *= 2.0
     parts -= 1.0
-    entries.setflags(write=False)  # frozen, so the tensor adopts it without a copy
     return Tensor.from_flat(extents, split, entries)

@@ -21,8 +21,34 @@ from .errors import ShapeError
 DEFAULT_TOL = 1e-10
 
 
+class _IndexGroups:
+    """Row- and column-group geometry of the ``extents`` and ``split`` a subclass provides."""
+
+    __slots__ = ()
+
+    @property
+    def order(self) -> int:
+        return len(self.extents)
+
+    @property
+    def row_extents(self) -> tuple[int, ...]:
+        return self.extents[: self.split]
+
+    @property
+    def col_extents(self) -> tuple[int, ...]:
+        return self.extents[self.split :]
+
+    @property
+    def row_count(self) -> int:
+        return prod(self.row_extents)
+
+    @property
+    def col_count(self) -> int:
+        return prod(self.col_extents)
+
+
 @dataclass(frozen=True)
-class TensorShape:
+class TensorShape(_IndexGroups):
     """Ordered extents partitioned into a row group and a column group.
 
     Parameters
@@ -47,26 +73,6 @@ class TensorShape:
                 f"split {self.split} out of range for {len(extents)} extents"
             )
 
-    @property
-    def order(self) -> int:
-        return len(self.extents)
-
-    @property
-    def row_extents(self) -> tuple[int, ...]:
-        return self.extents[: self.split]
-
-    @property
-    def col_extents(self) -> tuple[int, ...]:
-        return self.extents[self.split :]
-
-    @property
-    def row_count(self) -> int:
-        return prod(self.row_extents)
-
-    @property
-    def col_count(self) -> int:
-        return prod(self.col_extents)
-
     def swapped(self) -> TensorShape:
         """Shape with the two index groups exchanged."""
         return TensorShape(self.col_extents + self.row_extents, self.order - self.split)
@@ -76,17 +82,15 @@ class TensorShape:
         return self.row_extents == self.col_extents
 
 
-def _frozen(arr: np.ndarray) -> bool:
-    """True when no array along ``arr``'s chain of bases can be written.
+def _immutable(arr: np.ndarray) -> bool:
+    """True when ``arr``'s ultimate owner is a ``bytes`` buffer, which nothing can change.
 
-    A read-only view of a writable array is not frozen: writing to the base
-    would change the view's entries.
+    numpy refuses to make an array over such a buffer writable; any other
+    owner, a read-only array for one, can be made writable again.
     """
-    while arr is not None:
-        if not isinstance(arr, np.ndarray) or arr.flags["WRITEABLE"]:
-            return False
+    while isinstance(arr, np.ndarray):
         arr = arr.base
-    return True
+    return type(arr) is bytes
 
 
 def _all_of(values: list, types: tuple) -> bool:
@@ -94,7 +98,7 @@ def _all_of(values: list, types: tuple) -> bool:
     return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
 
 
-class Tensor:
+class Tensor(_IndexGroups):
     """Immutable dense complex tensor with a fixed row/column split.
 
     Because the entries never change, quantities derived from them (such as
@@ -107,12 +111,12 @@ class Tensor:
     def __init__(self, data, split: int):
         arr = np.asarray(data)
         if not (
-            arr.dtype == np.complex128 and arr.flags["C_CONTIGUOUS"] and _frozen(arr)
+            arr.dtype == np.complex128 and arr.flags["C_CONTIGUOUS"] and _immutable(arr)
         ):
-            # own a fresh copy; already-frozen canonical arrays (views of
-            # other tensors) are adopted without moving data
-            arr = np.array(arr, dtype=np.complex128, order="C")
-            arr.setflags(write=False)
+            # own an immutable copy; canonical views of other tensors are
+            # adopted without moving data
+            buffer = arr.astype(np.complex128, copy=False).tobytes()
+            arr = np.frombuffer(buffer, dtype=np.complex128).reshape(arr.shape)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if any(e < 1 for e in arr.shape):
@@ -157,8 +161,8 @@ class Tensor:
     def data(self) -> np.ndarray:
         """Read-only array view of the entries, shaped by the full extents.
 
-        A fresh view each time: numpy refuses to make a view of a read-only
-        array writable, so callers cannot change the entries behind the memo.
+        The entries live in a ``bytes`` buffer, and numpy refuses to make any
+        array over it writable, so callers cannot change them behind the memo.
         """
         return self._data.view()
 
@@ -173,26 +177,6 @@ class Tensor:
     @property
     def extents(self) -> tuple[int, ...]:
         return self._data.shape
-
-    @property
-    def order(self) -> int:
-        return self._data.ndim
-
-    @property
-    def row_extents(self) -> tuple[int, ...]:
-        return self._data.shape[: self._split]
-
-    @property
-    def col_extents(self) -> tuple[int, ...]:
-        return self._data.shape[self._split :]
-
-    @property
-    def row_count(self) -> int:
-        return prod(self.row_extents)
-
-    @property
-    def col_count(self) -> int:
-        return prod(self.col_extents)
 
     def as_matrix(self) -> np.ndarray:
         """Row-group-by-column-group matrix view (no copy)."""

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einverse
@@ -285,6 +285,26 @@ def test_bad_lambda_exit_code(write_tensor, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "verb, lam",
+    [("ginv", lam) for lam in ("2", "2,3", "1,2,3")]
+    + [("check-rol", lam) for lam in ("2", "1,2", "1,2,3")],
+)
+@pytest.mark.parametrize("files", ["present", "missing"])
+def test_unsupported_lambda_is_an_argument_error(verb, lam, files, write_tensor, tmp_path, capsys):
+    # rejected before any operand file is read, so a missing one is never reported
+    path = write_tensor("a.json", MP_A) if files == "present" else str(tmp_path / "none.json")
+    out = tmp_path / "out.json"
+    operands = [path] * (2 if verb == "check-rol" else 1)
+    code = main([verb, *operands, "--lambda", lam, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: argument: "), captured.err
+
+
 def strict_json(text):
     """Parse ``text`` as strict JSON: the NaN and Infinity tokens are refused."""
 
@@ -337,14 +357,15 @@ def test_non_finite_output_is_a_numeric_error(verb, to_file, write_tensor, tmp_p
     path = write_tensor("huge.json", HUGE)
     out = tmp_path / "out.json"
     argv = [verb, path] + ([path] if verb == "verify" else []) + (["--out", str(out)] * to_file)
-    # the unscaled Frobenius norm of these finite entries overflows
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert not out.exists()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: numeric: ")
+    for fmt in ("json", "table"):
+        # the unscaled Frobenius norm of these finite entries overflows
+        code = main(argv + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1, fmt
+        assert captured.out == ""
+        assert not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: numeric: ")
 
 
 TINY = Tensor(np.array([[1e-310, 0.0], [0.0, 1e-310]]), 1)
@@ -379,11 +400,16 @@ def test_every_verb_writes_the_reference_encoder_bytes(write_tensor, tmp_path, c
 
 _EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22, 1.0, -2.5e-308])
 _FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+# keys and strings also hold NUL, quotes, backslashes and the writer's placeholder text
+_TEXT = st.one_of(
+    st.text(max_size=4),
+    st.lists(st.sampled_from(["\x00", "run", "~", '"', "\\", "\n", " "]), max_size=4).map("".join),
+)
 _JSON = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4), _FLOATS,
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT, _FLOATS,
               st.lists(_FLOATS, max_size=9)),
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)
     ),
     max_leaves=20,
 )
@@ -391,9 +417,18 @@ _JSON = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(doc=_JSON, chunk=st.integers(1, 4))
+@example(doc={'"run': [0.5, 1.0], "run": ["run~", 'x"run~'], "\x00": [[2.5]]}, chunk=1)
+@example(doc=[1.5, -0.0], chunk=1)
 def test_json_writer_matches_the_reference_encoder(doc, chunk):
     with mock.patch.object(cli, "_RUN_CHUNK", chunk):
         assert "".join(cli._json_text(doc)) == reference_text(doc)
+
+
+def test_json_writer_refuses_what_the_reference_encoder_refuses():
+    doc = {"re": [0.5], "x": ("run", [1.5]), 1: {"re": [2.5]}}
+    assert "".join(cli._json_text(doc)) == reference_text(doc)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text({"re": [0.5], "flag": np.bool_(True)})
 
 
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])

@@ -54,6 +54,8 @@ def test_shape_validation():
         TensorShape((2, 2), 3)
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2)), -1)
+    with pytest.raises(ShapeError, match="extents must all be >= 1"):
+        Tensor(np.zeros((2, 0)), 1)
 
 
 def test_conj_transpose_identity():
@@ -233,6 +235,24 @@ def test_data_cannot_be_made_writable(build):
     x = pinv(t)
     with pytest.raises(ValueError):
         t.data.setflags(write=True)
+    # nor can any array reached through .base: the entries live in a bytes object
+    owner = t.data.base
+    while isinstance(owner, np.ndarray):
+        with pytest.raises(ValueError):
+            owner.setflags(write=True)
+        owner = owner.base
+    assert isinstance(owner, bytes)
+    assert t.data[0, 0] == 2.0
+    assert pinv(t) is x
+
+
+def test_array_frozen_by_its_caller_is_copied():
+    m = np.array(SYMMETRIC, dtype=np.complex128)
+    m.setflags(write=False)
+    t = Tensor(m, 1)
+    x = pinv(t)
+    m.setflags(write=True)
+    m[0, 0] = 5
     assert t.data[0, 0] == 2.0
     assert pinv(t) is x
 
