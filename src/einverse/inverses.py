@@ -304,22 +304,7 @@ def reverse_order_diagnose(
     """
     if a.col_extents != b.row_extents:
         raise ShapeError(f"cannot multiply {a!r} by {b!r}")
-    supported = ({1}, {1, 3}, {1, 4}, {1, 2, 3, 4})
-    if set(kind.flags) not in supported:
-        raise ValueError(f"unsupported kind {kind} for reverse-order diagnosis")
-    if ga is None:
-        ga = pinv(a)
-    if gb is None:
-        gb = pinv(b)
-    flags = tuple(sorted(kind.flags))
-    ga_ok = penrose_check(a, ga, tol).satisfies(flags)
-    gb_ok = penrose_check(b, gb, tol).satisfies(flags)
-
-    ab = chain(a, b)
-    candidate = chain(gb, ga)
-    report = penrose_check(ab, candidate, tol)
-    candidate_ok = report.satisfies(flags)
-
+    # the supported kinds' conditions; they read ga and gb only when evaluated
     pairs = {
         "1": {"ga_a_b_gb_idempotent": lambda: _idempotent(ga, a, b, gb)},
         "1,3": {"a_ga_bstar_b_hermitian": lambda: _hermitian(a, ga, conj_transpose(b), b)},
@@ -337,7 +322,22 @@ def reverse_order_diagnose(
                 chain(b, conj_transpose(b)), unit_tensor(b.row_extents)
             ),
         },
-    }[str(kind)]
+    }.get(str(kind))
+    if pairs is None:
+        raise ValueError(f"unsupported kind {kind} for reverse-order diagnosis")
+    if ga is None:
+        ga = pinv(a)
+    if gb is None:
+        gb = pinv(b)
+    flags = tuple(sorted(kind.flags))
+    ga_ok = penrose_check(a, ga, tol).satisfies(flags)
+    gb_ok = penrose_check(b, gb, tol).satisfies(flags)
+
+    ab = chain(a, b)
+    candidate = chain(gb, ga)
+    report = penrose_check(ab, candidate, tol)
+    candidate_ok = report.satisfies(flags)
+
     conditions = tuple(_condition(name, pair, tol) for name, pair in pairs.items())
     # any one of the Moore-Penrose conditions suffices; otherwise the first is the
     # sufficient one ({1,4} also reports the other published operand order)

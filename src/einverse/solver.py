@@ -141,7 +141,7 @@ def common_solution(
 
     The pair is consistent iff each equation is solvable on its own and the
     coupling ``a f = b d`` holds; the particular solution is then
-    ``g_a b + f g_d - g_a a f g_d``.
+    ``g_a b + f g_d - g_a a f g_d``, whose residual decides the verdict.
     """
     if b.row_extents != a.row_extents:
         raise ShapeError(f"{b!r} does not fit {a!r} on the left equation")
@@ -153,10 +153,6 @@ def common_solution(
     g_d = _pinv_sharing(d, a)
     left = _left_projector(a, None)
     x0 = chain(g_a, b) + chain(f, g_d) - chain(left, f, g_d)
-    r_left = _relative_residual(chain(a, g_a, b), b)
-    r_right = _relative_residual(chain(f, g_d, d), f)
-    r_couple = _relative_residual(chain(a, f), chain(b, d))
-    consistent = max(r_left, r_right, r_couple) <= tol
     residual = max(_relative_residual(chain(a, x0), b), _relative_residual(chain(x0, d), f))
     free_left = functools.cache(lambda: unit_tensor(a.col_extents) - left)
     free_right = functools.cache(
@@ -168,7 +164,7 @@ def common_solution(
         _require_free_shape(z, x_shape)
         return x0 + chain(free_left(), z, free_right())
 
-    return SolveOutcome(consistent, x0, residual, generator)
+    return SolveOutcome(residual <= tol, x0, residual, generator)
 
 
 def verify_unique_triple(
@@ -212,7 +208,7 @@ def solve_axb_via_kronecker(
     if d.row_extents != a.row_extents or d.col_extents != b.col_extents:
         raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")
     # pinv(a kron b^T) = pinv(a) kron pinv(b)^T: the factors' kept inverses, no lifted SVD
-    g = kronecker(pinv(a), transpose(pinv(b)))
+    g = kronecker(pinv(a), transpose(_pinv_sharing(b, a)))
     x_shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
     x0v = chain(g, vec(d))
     x0 = unvec(x0v, x_shape)

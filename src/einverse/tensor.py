@@ -77,10 +77,6 @@ class TensorShape(_IndexGroups):
         """Shape with the two index groups exchanged."""
         return TensorShape(self.col_extents + self.row_extents, self.order - self.split)
 
-    def is_square(self) -> bool:
-        """True when row and column groups agree extent by extent."""
-        return self.row_extents == self.col_extents
-
 
 def _immutable(arr: np.ndarray) -> bool:
     """True when ``arr``'s ultimate owner is a ``bytes`` buffer, which nothing can change.

@@ -182,6 +182,22 @@ def test_common_verb(write_tensor, capsys):
     assert doc["consistent"] is True
 
 
+def test_common_verdict_is_the_particular_solutions_residual(write_tensor, capsys):
+    # a x = b and x d = f each hold within tol, and so does a f = b d, but no
+    # x solves both: a x = b needs x = diag(1, 1.001), x d = f the identity
+    a = Tensor.from_flat((2, 2), 1, [1, 0, 0, 1e-6])
+    b = Tensor.from_flat((2, 2), 1, [1, 0, 0, 1e-6 + 1e-9])
+    i_path = write_tensor("i.json", unit_tensor([2]))
+    paths = [write_tensor("a.json", a), write_tensor("b.json", b), i_path, i_path]
+    code = main(["common", *paths, "--require-consistent"])
+    captured = capsys.readouterr()
+    assert code == 4
+    doc = json.loads(captured.out)
+    assert doc["consistent"] is False and doc["residual"] > 1e4 * cli.SOLVE_TOL
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: inconsistent:")
+
+
 def test_ginv_seeded_and_reported(write_tensor, capsys):
     a_path = write_tensor("a.json", MP_A)
     code, doc = run_json(capsys, ["ginv", a_path, "--lambda", "1,3", "--seed", "7"])
@@ -246,6 +262,17 @@ def test_table_format(write_tensor, capsys):
     assert code == 0
     assert "extents: [2, 2, 2, 2]" in out
     assert "frobenius_norm:" in out
+    # a list of records: one indented block per record, "  -" between two
+    code = main(["check-rol", a_path, write_tensor("b.json", MP_B), "--lambda", "mp",
+                 "--format", "table"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    start = lines.index("conditions:")
+    block = lines[start + 1 : start + 16]  # four conditions of three fields each
+    assert block[3::4] == ["  -"] * 3
+    del block[3::4]
+    assert [line.partition(":")[0] for line in block] == ["  name", "  residual", "  holds"] * 4
+    assert lines[start + 16].startswith("sufficient_condition_holds: ")
 
 
 def test_argument_error_exit_code(capsys):
@@ -328,13 +355,14 @@ def every_verb(write_tensor):
     }
     argvs = [
         ["pinv", path["a"]],
-        ["ginv", path["a"], "--lambda", "1,2", "--seed", "3"],
         ["solve", path["a"], path["g"], path["d"], "--z", path["z"]],
         ["solve-ax", path["a"], path["d"], "--z", path["z"]],
         ["common", path["a"], path["d"], path["g"], path["f"], "--z", path["z"]],
         ["verify", path["a"], path["x"]],
         ["info", path["a"]],
     ]
+    for lam in cli._GINV_KINDS:
+        argvs.append(["ginv", path["a"], "--lambda", lam, "--seed", "3"])
     for lam in ("1", "1,3", "1,4", "mp"):
         argvs.append(["check-rol", path["a"], path["f"], "--lambda", lam])
         # operands whose published conditions are not all conformable

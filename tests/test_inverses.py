@@ -312,9 +312,15 @@ class TestReverseOrderDiagnose:
         for name in ("a_conj_transpose_a_is_unit", "b_b_conj_transpose_is_unit"):
             assert math.isfinite(checks[name].residual)
 
-    def test_unsupported_kind(self):
+    def test_unsupported_kind(self, svd_calls):
         with pytest.raises(ValueError):
             reverse_order_diagnose(MP_A, MP_B, LambdaKind.parse("1,2"))
+        a, b = rt([2], [3], seed=5), rt([3], [2], seed=6)
+        for text in ("2", "1,2", "2,3", "1,2,3"):
+            with pytest.raises(ValueError) as exc:
+                reverse_order_diagnose(a, b, LambdaKind.parse(text))
+            assert str(exc.value) == f"unsupported kind {text} for reverse-order diagnosis"
+        assert svd_calls == []  # refused before either operand is factored
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

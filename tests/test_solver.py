@@ -152,6 +152,66 @@ class TestCommonSolution:
         outcome = common_solution(a, b, d, f)
         assert not outcome.consistent
 
+    def test_verdict_is_the_particular_solutions_residual(self):
+        # a x = b, x d = f and the coupling a f = b d each hold within tol, but
+        # no x solves both: a x = b needs x = diag(1, 1.001), x d = f the identity
+        a = Tensor.from_flat((2, 2), 1, [1, 0, 0, 1e-6])
+        b = Tensor.from_flat((2, 2), 1, [1, 0, 0, 1e-6 + 1e-9])
+        d = f = unit_tensor([2])
+        outcome = common_solution(a, b, d, f)
+        assert outcome.residual > 1e4 * SOLVE_TOL
+        assert rdist(chain(outcome.particular, d), f) == pytest.approx(outcome.residual)
+        assert not outcome.consistent
+
+
+def conditioned(rng, kappa, rank, scale=1.0):
+    """A (3x3 | 3x3) tensor whose 9x9 flattening has ``rank`` singular values
+    spaced evenly in log scale from ``scale`` down to ``scale / kappa``."""
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        return q
+
+    s = np.zeros(9)
+    s[:rank] = scale * np.logspace(0, -np.log10(kappa), rank)
+    return Tensor(((unitary() * s) @ unitary()).reshape(3, 3, 3, 3), 2)
+
+
+def verdict_battery(seed):
+    """Every solver on one seeded draw: planted and perturbed, at unit and rescaled size.
+
+    The operands have condition numbers up to 1e8 and ranks 6 to 9; every odd
+    seed takes ``d = a*``.  The rescaled systems multiply ``a`` and ``d`` by up
+    to 1e4 or 1e-4, and the perturbed ones add noise of 1e-3 relative size to
+    the planted ``a x d`` or ``a x``.
+    """
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** rng.uniform(0, 8)
+    rank = int(rng.integers(6, 10))
+    x, noise = conditioned(rng, 1.0, 9), conditioned(rng, 1.0, 9)
+    for scales in ((1.0, 1.0), 10.0 ** rng.uniform(-4, 4, 2)):
+        a = conditioned(rng, kappa, rank, scales[0])
+        d = ct(a) if seed % 2 else conditioned(rng, kappa, rank, scales[1])
+        for eps in (0.0, 1e-3):
+
+            def rhs(t):
+                return t + noise * (eps * frobenius_norm(t) / frobenius_norm(noise))
+
+            yield solve_axb(a, d, rhs(chain(a, x, d)))
+            yield solve_axb_via_kronecker(a, d, rhs(chain(a, x, d)))
+            yield solve_ax(a, rhs(chain(a, x)))
+            yield common_solution(a, rhs(chain(a, x)), d, chain(x, d))
+
+
+def test_every_verdict_is_its_witness_residual_against_tol():
+    outcomes = [o for seed in range(100) for o in verdict_battery(seed)]
+    wrong = [
+        (i, o.residual) for i, o in enumerate(outcomes) if o.consistent != (o.residual <= SOLVE_TOL)
+    ]
+    assert wrong == []
+    # the battery holds both verdicts
+    assert {o.consistent for o in outcomes} == {True, False}
+
 
 class TestVerifyUniqueTriple:
     def test_same_tensor(self):
@@ -228,6 +288,12 @@ class TestKroneckerRoute:
         assert solve_axb_via_kronecker(a, b, d).consistent
         # one SVD per factor's flattening (4x3 and 2x4), none of the 16x6 lift
         assert sorted(svd_calls) == [(2, 4), (4, 3)]
+
+    def test_conjugate_transpose_factor_reuses_the_factorization(self, svd_calls):
+        a = rt([2, 2], [3], seed=49)
+        d = chain(a, rt([3], [3], seed=50), ct(a))
+        assert solve_axb_via_kronecker(a, ct(a), d).consistent
+        assert svd_calls == [(4, 3)]  # as in solve_axb: pinv(a*) is pinv(a)*
 
     def test_lifted_product_waits_for_the_generator(self, monkeypatch):
         import einverse.solver as solver
