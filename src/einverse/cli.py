@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .algebra import chain
 from .errors import NumericError, PreconditionError, ShapeError
 from .inverses import (
     LambdaKind,
@@ -29,7 +30,6 @@ from .inverses import (
     one_four_family,
     one_inverse_family,
     one_three_family,
-    reflexive_from_two,
     reverse_order_diagnose,
 )
 from .sampling import random_tensor
@@ -175,29 +175,27 @@ def _cmd_pinv(args) -> int:
     return 0
 
 
-def _sample_lambda_inverse(a: Tensor, kind: LambdaKind, seed: int) -> Tensor:
-    base = pinv(a)
-    shape = base.shape
-    y = random_tensor(shape.extents, shape.split, seed)
-    flags = set(kind.flags)
-    if flags == {1, 2, 3, 4}:
-        return base
-    if flags == {1}:
-        return one_inverse_family(a, base, y)
-    if flags == {1, 2}:
-        z = random_tensor(shape.extents, shape.split, seed + 1)
-        return reflexive_from_two(
-            a, one_inverse_family(a, base, y), one_inverse_family(a, base, z)
-        )
-    if flags == {1, 3}:
-        return one_three_family(a, base, y)
-    return one_four_family(a, base, y)  # {1, 4}, the last of _GINV_KINDS
+def _free(a: Tensor, seed: int) -> Tensor:
+    """The seeded free tensor of ``pinv(a)``'s shape."""
+    shape = a.shape.swapped()
+    return random_tensor(shape.extents, shape.split, seed)
+
+
+#: The --lambda kinds ginv samples, as ``str(LambdaKind)``: members built from
+#: ``pinv(a)`` and free tensors seeded from ``seed`` on (1,2 as ``y a z``).
+_GINV = {
+    "1": lambda a, seed: one_inverse_family(a, pinv(a), _free(a, seed)),
+    "1,2": lambda a, seed: chain(_GINV["1"](a, seed), a, _GINV["1"](a, seed + 1)),
+    "1,3": lambda a, seed: one_three_family(a, pinv(a), _free(a, seed)),
+    "1,4": lambda a, seed: one_four_family(a, pinv(a), _free(a, seed)),
+    "mp": lambda a, seed: pinv(a),
+}
 
 
 def _cmd_ginv(args) -> int:
-    kind = _parse_kind(args.lam, _GINV_KINDS)
+    kind = _parse_kind(args.lam, _GINV)
     a = _load_tensor(args.tensor)
-    g = _sample_lambda_inverse(a, kind, args.seed)
+    g = _GINV[str(kind)](a, args.seed)
     report = penrose_check(a, g, args.tol)
     doc = _tensor_doc(
         g,
@@ -207,12 +205,11 @@ def _cmd_ginv(args) -> int:
     return 0
 
 
-#: The --lambda kinds ginv samples and check-rol diagnoses, as ``str(LambdaKind)``.
-_GINV_KINDS = ("1", "1,2", "1,3", "1,4", "mp")
+#: The --lambda kinds check-rol diagnoses, as ``str(LambdaKind)``.
 _ROL_KINDS = ("1", "1,3", "1,4", "mp")
 
 
-def _parse_kind(text: str, supported: tuple[str, ...]) -> LambdaKind:
+def _parse_kind(text: str, supported) -> LambdaKind:
     """The kind ``text`` names; an argument error unless it is one of ``supported``."""
     try:
         kind = LambdaKind.parse(text)
@@ -315,14 +312,12 @@ _SOLVE_OPTIONS = (
 _VERBS = {
     "pinv": ("Moore-Penrose inverse of a tensor", ("tensor",), (), DEFAULT_TOL, _cmd_pinv),
     "ginv": ("sample a {lambda}-inverse", ("tensor",), (
-        ("--lambda", dict(dest="lam", required=True, help="e.g. " + " | ".join(_GINV_KINDS))),
+        ("--lambda", dict(dest="lam", required=True, help="e.g. " + " | ".join(_GINV))),
         ("--seed", dict(type=int, default=0)),
     ), DEFAULT_TOL, _cmd_ginv),
     "solve": ("solve a x b = d", _SOLVERS["solve"][1], _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
-    "solve-ax": ("solve a x = b", _SOLVERS["solve-ax"][1], (
-        ("--mp", dict(action="store_true", help="accepted for compatibility; no effect")),
-        *_SOLVE_OPTIONS,
-    ), SOLVE_TOL, _cmd_solve),
+    "solve-ax": ("solve a x = b", _SOLVERS["solve-ax"][1], _SOLVE_OPTIONS, SOLVE_TOL,
+                 _cmd_solve),
     "common": ("common solution of a x = b and x d = f", _SOLVERS["common"][1],
                _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
     "check-rol": ("reverse-order-law diagnostic for a b", ("a", "b"), (

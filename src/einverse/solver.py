@@ -202,8 +202,10 @@ def solve_axb_via_kronecker(
     Rewrites the system as ``(a kron b^T) vec(x) = vec(d)`` and applies the
     one-sided solver in the lifted space.  The transpose (not the conjugate
     transpose) is required for the rewrite to hold over complex entries.
-    Particular solutions may differ from :func:`solve_axb`'s, but both
-    satisfy the same equation and the verdicts agree.
+    Particular solutions may differ from :func:`solve_axb`'s.  The verdicts
+    agree only for well-conditioned factors: the lifted inverse's rounding
+    error grows like ``cond(a) cond(b)``, not ``cond(a) + cond(b)``, so planted
+    consistent systems fail ``tol`` from about ``cond = 1e5`` per factor.
     """
     if d.row_extents != a.row_extents or d.col_extents != b.col_extents:
         raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")

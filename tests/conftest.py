@@ -25,6 +25,19 @@ def rank_deficient(row, col, seed, rank) -> Tensor:
     return Tensor(((u * s) @ vh).reshape(t.extents), t.split)
 
 
+def conditioned(row, col, kappa, seed) -> Tensor:
+    """Full-rank tensor whose flattening has singular values from 1 down to ``1 / kappa``."""
+    rng = np.random.default_rng(seed)
+    m, n = int(np.prod(row)), int(np.prod(col))
+
+    def unitary(k):
+        return np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+
+    s = np.logspace(0, -np.log10(kappa), min(m, n))
+    mat = (unitary(m)[:, : len(s)] * s) @ unitary(n)[: len(s)]
+    return Tensor(mat.reshape(tuple(row) + tuple(col)), len(row))
+
+
 @pytest.fixture
 def seeds20():
     return range(1, 21)

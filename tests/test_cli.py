@@ -15,19 +15,22 @@ from hypothesis import strategies as st
 
 import einverse
 from einverse import (
+    LambdaKind,
     Tensor,
     chain,
     common_solution,
     conj_transpose,
+    penrose_check,
     random_tensor,
+    reverse_order_diagnose,
     solve_ax,
     solve_axb,
     unit_tensor,
 )
 from einverse import cli
 from einverse.cli import main
-from conftest import rank_deficient, rt
-from golden_data import MP_A, MP_A_PINV, MP_B
+from conftest import conditioned, rank_deficient, rt
+from golden_data import MP_A, MP_A_PINV, MP_B, ROL14_A, ROL14_B, ROL14_X, ROL14_Y
 
 
 @pytest.fixture
@@ -115,9 +118,13 @@ def test_solve_require_consistent_exit_code(write_tensor, capsys):
 def test_solve_ax_mp_variant(write_tensor, capsys):
     a_path = write_tensor("a.json", rt([2, 2], [2, 2], seed=10))
     b_path = write_tensor("b.json", rt([2, 2], [3], seed=11))
-    code, doc = run_json(capsys, ["solve-ax", a_path, b_path, "--mp"])
+    code, doc = run_json(capsys, ["solve-ax", a_path, b_path])
     assert code == 0
     assert doc["consistent"] is True  # generic square a is invertible
+    # --mp changed nothing and is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-ax", a_path, b_path, "--mp"])
+    assert exc.value.code == 2
 
 
 def solve_verb_operands(verb, consistent):
@@ -219,6 +226,70 @@ def test_ginv_reflexive_and_mp_kinds(write_tensor, capsys):
     code, doc = run_json(capsys, ["ginv", a_path, "--lambda", "mp"])
     assert code == 0
     assert all(doc["report"]["satisfied"])
+
+
+@pytest.mark.parametrize("lam", ["1", "1,2", "1,3", "1,4", "mp"])
+def test_ginv_accepts_an_ill_conditioned_full_rank_input(lam, write_tensor, capsys):
+    # pinv(a) fails the fixed tolerance here by rounding alone; ginv reports that
+    # in its one grade, as pinv does, instead of refusing the input
+    a = conditioned([8, 8], [8, 8], 1e8, seed=0)
+    code = main(["ginv", write_tensor("a.json", a), "--lambda", lam, "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "error: precondition:" not in captured.err
+    report = json.loads(captured.out)["report"]
+    assert report["tolerance"] == cli.DEFAULT_TOL
+    assert report["satisfied"] == [r <= cli.DEFAULT_TOL for r in report["residuals"]]
+
+
+@pytest.mark.parametrize("lam, draws", [("1", 1), ("1,2", 2), ("1,3", 1), ("1,4", 1), ("mp", 0)])
+def test_ginv_grades_once_and_draws_only_the_free_tensors_it_uses(lam, draws, write_tensor, capsys):
+    a_path = write_tensor("a.json", rt([2, 2], [3], seed=34))
+    with mock.patch("einverse.inverses.penrose_check", wraps=penrose_check) as in_lib, \
+            mock.patch.object(cli, "penrose_check", wraps=penrose_check) as in_cli, \
+            mock.patch.object(cli, "random_tensor", wraps=random_tensor) as sample:
+        assert main(["ginv", a_path, "--lambda", lam, "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert in_lib.call_count + in_cli.call_count == 1
+    assert [c.args[2] for c in sample.call_args_list] == [5, 6][:draws]
+
+
+def test_check_rol_passes_the_given_inverses(write_tensor, capsys):
+    paths = [write_tensor(f"{n}.json", t) for n, t in
+             (("a", ROL14_A), ("b", ROL14_B), ("x", ROL14_X), ("y", ROL14_Y))]
+    argv = ["check-rol", *paths[:2], "--lambda", "1,4"]
+    code, doc = run_json(capsys, argv + ["--ga", paths[2], "--gb", paths[3]])
+    assert code == 0
+    want = reverse_order_diagnose(ROL14_A, ROL14_B, LambdaKind.parse("1,4"),
+                                  ga=ROL14_X, gb=ROL14_Y)
+    assert doc["candidate"] == want.candidate.to_json_dict()
+    assert doc["report"] == want.candidate_report.to_json_dict()
+    assert [(c["name"], c["residual"], c["holds"]) for c in doc["conditions"]] == [
+        (c.name, c.residual, c.holds) for c in want.conditions
+    ]
+    assert doc["ga_is_lambda_inverse"] and doc["gb_is_lambda_inverse"]
+    assert doc["candidate_is_inverse"] is want.candidate_is_inverse
+    # without them the Moore-Penrose inverses are used, and the candidate differs
+    code, default = run_json(capsys, argv)
+    assert code == 0 and default["candidate"] != doc["candidate"]
+
+
+def test_tol_reaches_the_report_and_the_verdict(write_tensor, capsys):
+    a_path = write_tensor("a.json", MP_A)
+    for argv in (["pinv", a_path], ["ginv", a_path, "--lambda", "1,3"]):
+        code, doc = run_json(capsys, argv + ["--tol", "1e-3"])
+        assert code == 0 and doc["report"]["tolerance"] == 1e-3
+    # a x a = d misses d only in the entry a cannot reach, by 1e-6
+    a = Tensor.from_flat((2, 2), 1, [1, 0, 0, 0])
+    d = Tensor.from_flat((2, 2), 1, [1, 0, 0, 1e-6])
+    argv = ["solve", write_tensor("a1.json", a), write_tensor("a2.json", a),
+            write_tensor("d.json", d)]
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["consistent"] is False
+    assert cli.SOLVE_TOL < doc["residual"] < 1e-5
+    code, loose = run_json(capsys, argv + ["--tol", "1e-5"])
+    assert code == 0 and loose["consistent"] is True
+    assert loose["residual"] == doc["residual"]
 
 
 def test_check_rol_mp_golden_counterexample(write_tensor, capsys):
@@ -361,7 +432,7 @@ def every_verb(write_tensor):
         ["verify", path["a"], path["x"]],
         ["info", path["a"]],
     ]
-    for lam in cli._GINV_KINDS:
+    for lam in cli._GINV:
         argvs.append(["ginv", path["a"], "--lambda", lam, "--seed", "3"])
     for lam in ("1", "1,3", "1,4", "mp"):
         argvs.append(["check-rol", path["a"], path["f"], "--lambda", lam])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from einverse import (
     LambdaKind,
     PreconditionError,
     ShapeError,
+    Tensor,
     conj_transpose,
     einstein_product,
     frobenius_distance,
@@ -27,7 +29,7 @@ from einverse import (
     zeros,
     zeros_like,
 )
-from conftest import rank_deficient, rdist, rt
+from conftest import conditioned, rank_deficient, rdist, rt
 from golden_data import (
     MP_A,
     MP_A_PINV,
@@ -163,6 +165,36 @@ class TestFamilies:
     def test_one_inverse_rejects_bad_seed_inverse(self):
         with pytest.raises(PreconditionError):
             one_inverse_family(MP_A, zeros_like(pinv(MP_A)), pinv(MP_A))
+
+    @pytest.mark.parametrize("build", [
+        one_inverse_family,
+        one_three_family,
+        one_four_family,
+        lambda a, g, y: reflexive_from_two(a, g, g),
+        lambda a, g, y: mp_from_13_14(a, g, g),
+    ], ids=["1", "1,3", "1,4", "1,2", "mp"])
+    def test_kept_pinv_is_taken_without_grading(self, build):
+        # the library's own inverse is in every class by construction; at this
+        # conditioning it fails the fixed-tolerance check only by rounding
+        a = conditioned([8, 8], [8, 8], 1e8, seed=0)
+        y = rt([8, 8], [8, 8], seed=44)
+        g = pinv(a)
+        assert not penrose_check(a, g).satisfied[0]
+        with mock.patch("einverse.inverses.penrose_check", wraps=penrose_check) as spy:
+            build(a, g, y)
+        assert spy.call_count == 0
+        # an equal copy is a caller's tensor like any other, and is graded
+        with pytest.raises(PreconditionError):
+            build(a, Tensor(g.data, g.split), y)
+
+    def test_grading_computes_no_inverse_of_its_own(self, svd_calls):
+        a = rt([2, 2], [3], seed=33)
+        g = pinv(a, rank_tol=1e-12)  # recomputed, not kept on a
+        svd_calls.clear()
+        with mock.patch("einverse.inverses.penrose_check", wraps=penrose_check) as spy:
+            one_inverse_family(a, g, rt([3], [2, 2], seed=44))
+        assert spy.call_count == 1
+        assert svd_calls == []
 
     def test_reflexive_fixed_point(self):
         g = pinv(MP_A)
