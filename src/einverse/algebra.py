@@ -30,19 +30,34 @@ def einstein_product(a: Tensor, b: Tensor, n: int) -> Tensor:
         Extents ``a.extents[:-n] + b.extents[n:]``; the surviving axes of
         ``a`` form the row group.
     """
+    m, extents = _contract(a._data, a.extents, a.split, b, n)
+    return Tensor(m.reshape(extents), a.order - n)
+
+
+def _contract(m: np.ndarray, extents, split: int, b: Tensor, n: int):
+    """Contract entries ``m`` (of ``extents``, split at ``split``) with ``b`` over ``n`` axes.
+
+    Returns the product's matrix and extents, ``(1,)`` when no axis survives.
+    """
     if n < 1:
         raise ShapeError(f"contraction needs n >= 1, got {n}")
-    if n > a.order or n > b.order:
-        raise ShapeError(f"cannot contract {n} axes of {a!r} with {b!r}")
-    if a.extents[a.order - n :] != b.extents[:n]:
-        raise ShapeError(
-            f"contracted extents differ: {a.extents[a.order - n:]} vs {b.extents[:n]}"
-        )
+    kept = len(extents) - n
+    if kept < 0 or n > b.order:
+        named = Tensor(m.reshape(extents), split)  # wrapped only to be named
+        raise ShapeError(f"cannot contract {n} axes of {named!r} with {b!r}")
+    if extents[kept:] != b.extents[:n]:
+        raise ShapeError(f"contracted extents differ: {extents[kept:]} vs {b.extents[:n]}")
     k = prod(b.extents[:n])
-    lhs = a.data.reshape(-1, k)
-    rhs = b.data.reshape(k, -1)
-    out = (lhs @ rhs).reshape(a.extents[: a.order - n] + b.extents[n:])
-    return Tensor(out, a.order - n)
+    return m.reshape(-1, k) @ b._data.reshape(k, -1), (extents[:kept] + b.extents[n:]) or (1,)
+
+
+def _product(*factors: Tensor) -> np.ndarray:
+    """Entries of ``chain(*factors)``: the flattenings multiplied in turn; no tensor built."""
+    first = factors[0]
+    m, extents, split = first._data, first.extents, first.split
+    for f in factors[1:]:
+        m, extents = _contract(m, extents, split, f, len(extents) - split)
+    return m.reshape(extents)
 
 
 def chain(*factors: Tensor) -> Tensor:
@@ -50,12 +65,12 @@ def chain(*factors: Tensor) -> Tensor:
 
     Each step contracts the whole column group of the product so far, so
     ``chain(a, b)`` is ``einstein_product(a, b, n)`` with ``n`` the length of
-    ``a``'s column group.  A single factor is returned unchanged.
+    ``a``'s column group.  Only the final product is built as a tensor, with
+    ``f1``'s row group.  A single factor is returned unchanged.
     """
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = einstein_product(acc, f, acc.order - acc.split)
-    return acc
+    if len(factors) == 1:
+        return factors[0]
+    return Tensor(_product(*factors), factors[0].split)
 
 
 def kronecker(a: Tensor, b: Tensor) -> Tensor:

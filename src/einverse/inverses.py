@@ -145,9 +145,14 @@ def _pinv_sharing(b: Tensor, a: Tensor) -> Tensor:
     return b.memoized("pinv", derive)
 
 
+def _is_kept_pinv(a: Tensor, g: Tensor) -> bool:
+    # the Moore-Penrose inverse kept on ``a`` is in every class by construction
+    return g is a._memo.get("pinv")
+
+
 def _require_lambda_inverse(a: Tensor, g: Tensor, flags, tol: float, who: str):
-    if g is a._memo.get("pinv"):
-        return  # the Moore-Penrose inverse kept on ``a`` is in every class by construction
+    if _is_kept_pinv(a, g):
+        return
     report = penrose_check(a, g, tol)
     if not report.satisfies(flags):
         bad = [i for i in flags if not report.satisfied[i - 1]]
@@ -302,7 +307,7 @@ def reverse_order_diagnose(
     (hermitian conditions; for ``{1,4}`` both operand orders are reported
     since published statements disagree), and the full Moore-Penrose set
     (four sufficient conditions, no converse claim).  ``ga``/``gb`` default
-    to the Moore-Penrose inverses, which lie in every class.
+    to the kept Moore-Penrose inverses, which lie in every class ungraded.
     """
     if a.col_extents != b.row_extents:
         raise ShapeError(f"cannot multiply {a!r} by {b!r}")
@@ -332,8 +337,8 @@ def reverse_order_diagnose(
     if gb is None:
         gb = pinv(b)
     flags = tuple(sorted(kind.flags))
-    ga_ok = penrose_check(a, ga, tol).satisfies(flags)
-    gb_ok = penrose_check(b, gb, tol).satisfies(flags)
+    ga_ok = _is_kept_pinv(a, ga) or penrose_check(a, ga, tol).satisfies(flags)
+    gb_ok = _is_kept_pinv(b, gb) or penrose_check(b, gb, tol).satisfies(flags)
 
     ab = chain(a, b)
     candidate = chain(gb, ga)

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import chain, kronecker, unvec, vec
+from .algebra import _product, chain, kronecker, unvec, vec
 from .errors import PreconditionError, ShapeError
 from .inverses import _pinv_sharing, pinv
 from .tensor import (
@@ -96,7 +96,7 @@ def solve_axb(
     ga = pinv(a) if g_a is None else g_a
     gb = _pinv_sharing(b, a) if g_b is None else g_b
     x0 = chain(ga, d, gb)
-    residual = _relative_residual(chain(a, x0, b), d)
+    residual = _relative_residual(_product(a, x0, b), d)
     # the projectors are built on the generator's first call, not before
     left = functools.cache(functools.partial(_left_projector, a, g_a))
     right = functools.cache(functools.partial(_right_projector, b, g_b))
@@ -104,7 +104,7 @@ def solve_axb(
 
     def generator(z: Tensor) -> Tensor:
         _require_free_shape(z, x_shape)
-        return x0 + z - chain(left(), z, right())
+        return Tensor(x0._data + z._data - _product(left(), z, right()), x0.split)
 
     return SolveOutcome(residual <= tol, x0, residual, generator)
 
@@ -123,13 +123,13 @@ def solve_ax(
     if b.row_extents != a.row_extents:
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
     x0 = chain(pinv(a) if g is None else g, b)
-    residual = _relative_residual(chain(a, x0), b)
+    residual = _relative_residual(_product(a, x0), b)
     proj = functools.cache(lambda: unit_tensor(a.col_extents) - _left_projector(a, g))
     x_shape = x0.shape
 
     def generator(y: Tensor) -> Tensor:
         _require_free_shape(y, x_shape)
-        return x0 + chain(proj(), y)
+        return Tensor(x0._data + _product(proj(), y), x0.split)
 
     return SolveOutcome(residual <= tol, x0, residual, generator)
 
@@ -141,7 +141,7 @@ def common_solution(
 
     The pair is consistent iff each equation is solvable on its own and the
     coupling ``a f = b d`` holds; the particular solution is then
-    ``g_a b + f g_d - g_a a f g_d``, whose residual decides the verdict.
+    ``g_a b + f g_d - (g_a a)(f g_d)``, whose residual decides the verdict.
     """
     if b.row_extents != a.row_extents:
         raise ShapeError(f"{b!r} does not fit {a!r} on the left equation")
@@ -152,8 +152,9 @@ def common_solution(
     g_a = pinv(a)
     g_d = _pinv_sharing(d, a)
     left = _left_projector(a, None)
-    x0 = chain(g_a, b) + chain(f, g_d) - chain(left, f, g_d)
-    residual = max(_relative_residual(chain(a, x0), b), _relative_residual(chain(x0, d), f))
+    fg = chain(f, g_d)
+    x0 = Tensor(_product(g_a, b) + fg._data - _product(left, fg), g_a.split)
+    residual = max(_relative_residual(_product(a, x0), b), _relative_residual(_product(x0, d), f))
     free_left = functools.cache(lambda: unit_tensor(a.col_extents) - left)
     free_right = functools.cache(
         lambda: unit_tensor(d.row_extents) - _right_projector(d, None)
@@ -162,7 +163,7 @@ def common_solution(
 
     def generator(z: Tensor) -> Tensor:
         _require_free_shape(z, x_shape)
-        return x0 + chain(free_left(), z, free_right())
+        return Tensor(x0._data + _product(free_left(), z, free_right()), x0.split)
 
     return SolveOutcome(residual <= tol, x0, residual, generator)
 
@@ -214,14 +215,14 @@ def solve_axb_via_kronecker(
     x_shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
     x0v = chain(g, vec(d))
     x0 = unvec(x0v, x_shape)
-    residual = _relative_residual(chain(a, x0, b), d)
+    residual = _relative_residual(_product(a, x0, b), d)
     # the lifted projector is built on the generator's first call, not before
     gop = functools.cache(lambda: chain(g, kronecker(a, transpose(b))))
 
     def generator(z: Tensor) -> Tensor:
         _require_free_shape(z, x_shape)
         zv = vec(z)
-        xv = x0v + zv - chain(gop(), zv)
-        return unvec(xv, x_shape)
+        xv = x0v._data + zv._data - _product(gop(), zv)
+        return Tensor(xv.reshape(x_shape.extents), x_shape.split)
 
     return SolveOutcome(residual <= tol, x0, residual, generator)

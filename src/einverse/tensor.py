@@ -312,9 +312,17 @@ def frobenius_distance(a: Tensor, b: Tensor) -> float:
     return float(np.linalg.norm((a.data - b.data).ravel()))
 
 
-def _relative_residual(got: Tensor, want: Tensor) -> float:
-    """``||got - want||_F / (1 + ||want||_F)``: the residual of the equation ``got = want``."""
-    return frobenius_distance(got, want) / (1.0 + frobenius_norm(want))
+def _relative_residual(got, want: Tensor) -> float:
+    """``||got - want||_F / (1 + ||want||_F)``: the residual of the equation ``got = want``.
+
+    ``got`` may also be the entries of a product no caller sees, as an array.
+    """
+    if isinstance(got, Tensor):
+        _require_same_shape(got, want)
+        got = got._data
+    elif got.shape != want.extents:
+        raise ShapeError(f"shape mismatch: entries shaped {got.shape} vs {want!r}")
+    return float(np.linalg.norm((got - want._data).ravel())) / (1.0 + frobenius_norm(want))
 
 
 def _resolved_tol(tol, a: Tensor) -> float:

@@ -4,6 +4,7 @@ import pytest
 from einverse import (
     ShapeError,
     Tensor,
+    TensorShape,
     block2x2,
     chain,
     column_block,
@@ -51,6 +52,46 @@ def test_chain_matches_nested_products_bit_for_bit():
     got = chain(a, b, c)
     assert got.shape == nested.shape
     assert np.array_equal(got.data, nested.data)
+
+
+def nested_chain(*factors: Tensor) -> Tensor:
+    """The chain as one ``einstein_product`` per step, each contracting the column group so far."""
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = einstein_product(acc, f, acc.order - acc.split)
+    return acc
+
+
+def test_full_contraction_keeps_one_extent():
+    a = rt([], [2, 3], seed=44)
+    b = rt([2, 3], [], seed=45)
+    for t in (einstein_product(a, b, 2), chain(a, b)):
+        assert (t.extents, t.split) == ((1,), 0)
+        assert abs(t.data[0] - np.sum(a.data * b.data)) <= 1e-14
+    # a chain goes on from that one extent exactly as nested products do
+    c = rt([1], [2], seed=46)
+    got, nested = chain(a, b, c), nested_chain(a, b, c)
+    assert got.shape == nested.shape == TensorShape((2,), 0)
+    assert np.array_equal(got.data, nested.data)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        lambda: (rt([2], [3], seed=47), rt([4], [2], seed=48)),
+        lambda: (rt([2], [3], seed=47), rt([3], [4, 5], seed=48), rt([4, 6], [2], seed=49)),
+        lambda: (rt([2], [3], seed=47), rt([3], [4, 5], seed=48), rt([4], [], seed=49)),
+        lambda: (rt([2], [], seed=47), rt([2], [3], seed=48)),
+    ],
+    ids=["first-step-differs", "later-step-differs", "too-few-axes", "nothing-to-contract"],
+)
+def test_chain_raises_the_nested_products_messages(factors):
+    fs = factors()
+    with pytest.raises(ShapeError) as want:
+        nested_chain(*fs)
+    with pytest.raises(ShapeError) as got:
+        chain(*fs)
+    assert str(got.value) == str(want.value)
 
 
 def test_identity_contraction():

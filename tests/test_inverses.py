@@ -333,6 +333,23 @@ class TestReverseOrderDiagnose:
         assert diag.sufficient_condition_holds
         assert diag.candidate_is_inverse
 
+    @pytest.mark.parametrize("text", ["1", "1,3", "1,4", "mp"])
+    def test_kept_inverses_are_taken_without_grading(self, text):
+        # at this conditioning pinv(a) fails the fixed-tolerance check only by rounding
+        a = conditioned([4, 4], [4, 4], 1e8, seed=1)
+        b = conditioned([4, 4], [4, 4], 10.0, seed=2)
+        kind = LambdaKind.parse(text)
+        with mock.patch("einverse.inverses.penrose_check", wraps=penrose_check) as spy:
+            diag = reverse_order_diagnose(a, b, kind)
+        assert diag.ga_is_lambda_inverse and diag.gb_is_lambda_inverse
+        assert spy.call_count == 1  # the candidate alone
+        # inverses a caller passes are graded, an equal copy of the kept one included
+        ga = pinv(a)
+        with mock.patch("einverse.inverses.penrose_check", wraps=penrose_check) as spy:
+            diag = reverse_order_diagnose(a, b, kind, ga=Tensor(ga.data, ga.split), gb=pinv(b))
+        assert spy.call_count == 2
+        assert not diag.ga_is_lambda_inverse and diag.gb_is_lambda_inverse
+
     def test_non_conformable_mp_conditions_are_nan_and_fail(self):
         a, b = rt([2], [3], seed=3), rt([3], [4], seed=4)
         diag = reverse_order_diagnose(a, b, LambdaKind.parse("mp"))

@@ -1,5 +1,6 @@
 import gc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from einverse import (
     PreconditionError,
     ShapeError,
     Tensor,
+    algebra,
     block2x2,
     chain,
     column_block,
@@ -15,6 +17,7 @@ from einverse import (
     common_solution,
     frobenius_distance,
     frobenius_norm,
+    kronecker,
     mp_from_13_14,
     one_four_family,
     one_inverse_family,
@@ -24,7 +27,10 @@ from einverse import (
     solve_ax,
     solve_axb,
     solve_axb_via_kronecker,
+    transpose,
     unit_tensor,
+    unvec,
+    vec,
     verify_unique_triple,
     zeros,
     zeros_like,
@@ -351,6 +357,72 @@ def test_free_tensor_of_wrong_shape_is_refused_with_its_message(entry, expected)
     with pytest.raises(ShapeError) as exc:
         _free_tensor_entry_points()[entry](rt([2], [2], seed=53))
     assert str(exc.value) == expected
+
+
+def _generator_cases():
+    """Each solver's outcome, a free tensor, and that solver's own formula for its generator."""
+    a = rank_deficient([2, 2], [3, 2], seed=3100, rank=3)
+    b, d = rt([3, 2], [2], seed=3101), rt([2, 2], [2], seed=3102)
+    z = rt([3, 2], [3, 2], seed=3103)
+    rhs, y = rt([2, 2], [3], seed=3104), rt([3, 2], [3], seed=3105)
+    d2, f2 = rt([3], [4], seed=3106), rt([3, 2], [4], seed=3107)
+
+    def left():  # the kept projector's arithmetic
+        return chain(pinv(a), a)
+
+    def axb(out):
+        return out.particular + z - chain(left(), z, chain(b, pinv(b)))
+
+    def ax(out):
+        return out.particular + chain(unit_tensor([3, 2]) - left(), y)
+
+    def common(out):
+        coproj = unit_tensor([3]) - chain(d2, pinv(d2))
+        return out.particular + chain(unit_tensor([3, 2]) - left(), y, coproj)
+
+    def lifted(out):
+        g = kronecker(pinv(a), transpose(pinv(b)))
+        gop = chain(g, kronecker(a, transpose(b)))
+        xv = vec(out.particular) + vec(z) - chain(gop, vec(z))
+        return unvec(xv, out.particular.shape)
+
+    return {
+        "solve_axb": (solve_axb(a, b, d), z, axb),
+        "solve_ax": (solve_ax(a, rhs), y, ax),
+        "common_solution": (common_solution(a, rhs, d2, f2), y, common),
+        "solve_axb_via_kronecker": (solve_axb_via_kronecker(a, b, d), z, lifted),
+    }
+
+
+@pytest.mark.parametrize(
+    "solver", ["solve_axb", "solve_ax", "common_solution", "solve_axb_via_kronecker"]
+)
+def test_generator_follows_its_formula_bit_for_bit(solver):
+    outcome, z, formula = _generator_cases()[solver]
+    got = outcome.generator(z)
+    want = formula(outcome)
+    assert got.shape == want.shape
+    assert np.array_equal(got.data, want.data)
+
+
+def test_common_solution_forms_f_g_d_once():
+    a = rank_deficient([2, 2], [3, 2], seed=3200, rank=3)
+    x = rt([3, 2], [3], seed=3201)
+    d = rt([3], [4], seed=3202)
+    b, f = chain(a, x), chain(x, d)
+    with mock.patch("einverse.algebra._contract", wraps=algebra._contract) as steps:
+        outcome = common_solution(a, b, d, f)
+    # g_a b, f g_d, g_a a, (g_a a)(f g_d), and the residuals' a x0 and x0 d
+    assert steps.call_count == 6
+    g_a, g_d = pinv(a), pinv(d)
+    fg = chain(f, g_d)
+    assert np.array_equal(
+        outcome.particular.data, (chain(g_a, b) + fg - chain(chain(g_a, a), fg)).data
+    )
+    # the former association ((g_a a) f) g_d differs only by rounding
+    former = chain(g_a, b) + fg - chain(g_a, a, f, g_d)
+    assert rdist(outcome.particular, former) <= 1e-12
+    assert outcome.consistent
 
 
 def lattice_tensors():

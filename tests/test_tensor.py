@@ -10,6 +10,7 @@ from einverse import (
     ShapeError,
     Tensor,
     TensorShape,
+    chain,
     conj_transpose,
     einstein_product,
     frobenius_distance,
@@ -17,6 +18,7 @@ from einverse import (
     is_idempotent,
     is_unitary,
     pinv,
+    solve_axb,
     transpose,
     unit_tensor,
     zeros,
@@ -227,8 +229,14 @@ SYMMETRIC = [[2.0, 1.0], [1.0, 3.0]]
         lambda: Tensor(np.array(SYMMETRIC), 1),
         lambda: einstein_product(unit_tensor([2]), Tensor(np.array(SYMMETRIC), 1), 1),
         lambda: Tensor.from_json_dict({"extents": [2, 2], "split": 1, "re": [2, 1, 1, 3]}),
+        lambda: chain(unit_tensor([2]), unit_tensor([2]), Tensor(np.array(SYMMETRIC), 1)),
+        lambda: Tensor(np.array(SYMMETRIC), 1) + zeros((2, 2), 1),
+        lambda: solve_axb(
+            unit_tensor([2]), unit_tensor([2]), Tensor(np.array(SYMMETRIC), 1),
+            g_a=unit_tensor([2]), g_b=unit_tensor([2]),
+        ).generator(zeros((2, 2), 1)),
     ],
-    ids=["array", "product", "json"],
+    ids=["array", "product", "json", "chain", "sum", "generator"],
 )
 def test_data_cannot_be_made_writable(build):
     t = build()
