@@ -62,17 +62,17 @@ class PenroseReport:
 def penrose_check(a: Tensor, x: Tensor, tol: float = DEFAULT_TOL) -> PenroseReport:
     """Measure how well ``x`` satisfies the four defining equations for ``a``.
 
-    Residuals are Frobenius norms scaled by ``1 +`` the norm of the equation's
-    right-hand side; ``x`` must have ``a``'s index groups swapped.
+    Residuals are the equations' relative residuals on the flattenings; ``x``
+    must have ``a``'s index groups swapped.
     """
     if x.shape != a.shape.swapped():
         raise ShapeError(f"candidate {x!r} does not match {a!r} with groups swapped")
-    ax = chain(a, x)
-    xa = chain(x, a)
-    r1 = _relative_residual(chain(ax, a), a)
-    r2 = _relative_residual(chain(xa, x), x)
-    r3 = _relative_residual(conj_transpose(ax), ax)
-    r4 = _relative_residual(conj_transpose(xa), xa)
+    m, g = a.as_matrix(), x.as_matrix()
+    mg, gm = m @ g, g @ m
+    r1 = _relative_residual(mg @ m, m)
+    r2 = _relative_residual(gm @ g, g)
+    r3 = _relative_residual(mg.conj().T, mg)
+    r4 = _relative_residual(gm.conj().T, gm)
     return PenroseReport.from_residuals((r1, r2, r3, r4), tol)
 
 

@@ -96,7 +96,7 @@ def solve_axb(
     ga = pinv(a) if g_a is None else g_a
     gb = _pinv_sharing(b, a) if g_b is None else g_b
     x0 = chain(ga, d, gb)
-    residual = _relative_residual(_product(a, x0, b), d)
+    residual = _relative_residual(_product(a, x0, b), d._data)
     # the projectors are built on the generator's first call, not before
     left = functools.cache(functools.partial(_left_projector, a, g_a))
     right = functools.cache(functools.partial(_right_projector, b, g_b))
@@ -123,7 +123,7 @@ def solve_ax(
     if b.row_extents != a.row_extents:
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
     x0 = chain(pinv(a) if g is None else g, b)
-    residual = _relative_residual(_product(a, x0), b)
+    residual = _relative_residual(_product(a, x0), b._data)
     proj = functools.cache(lambda: unit_tensor(a.col_extents) - _left_projector(a, g))
     x_shape = x0.shape
 
@@ -154,7 +154,9 @@ def common_solution(
     left = _left_projector(a, None)
     fg = chain(f, g_d)
     x0 = Tensor(_product(g_a, b) + fg._data - _product(left, fg), g_a.split)
-    residual = max(_relative_residual(_product(a, x0), b), _relative_residual(_product(x0, d), f))
+    residual = max(
+        _relative_residual(_product(a, x0), b._data), _relative_residual(_product(x0, d), f._data)
+    )
     free_left = functools.cache(lambda: unit_tensor(a.col_extents) - left)
     free_right = functools.cache(
         lambda: unit_tensor(d.row_extents) - _right_projector(d, None)
@@ -179,11 +181,13 @@ def verify_unique_triple(
     Returns whether the two are within the error bound the three relations
     allow.
     """
+    if (b.split, d.split, y.split) != (a.split, x.split, x.split):
+        raise ShapeError(f"{b!r} and {d!r} must split like a x and x a, {y!r} like {x!r}")
     for name, w in (("x", x), ("y", y)):
         rs = (
-            _relative_residual(chain(a, w), b),
-            _relative_residual(chain(w, a), d),
-            _relative_residual(chain(w, a, w), w),
+            _relative_residual(_product(a, w), b._data),
+            _relative_residual(_product(w, a), d._data),
+            _relative_residual(_product(w, a, w), w._data),
         )
         if max(rs) > tol:
             raise PreconditionError(
@@ -215,7 +219,7 @@ def solve_axb_via_kronecker(
     x_shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
     x0v = chain(g, vec(d))
     x0 = unvec(x0v, x_shape)
-    residual = _relative_residual(_product(a, x0, b), d)
+    residual = _relative_residual(_product(a, x0, b), d._data)
     # the lifted projector is built on the generator's first call, not before
     gop = functools.cache(lambda: chain(g, kronecker(a, transpose(b))))
 

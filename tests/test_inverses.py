@@ -9,9 +9,11 @@ from einverse import (
     PreconditionError,
     ShapeError,
     Tensor,
+    chain,
     conj_transpose,
     einstein_product,
     frobenius_distance,
+    frobenius_norm,
     is_hermitian,
     is_unitary,
     kronecker,
@@ -29,6 +31,7 @@ from einverse import (
     zeros,
     zeros_like,
 )
+from einverse.tensor import _relative_residual
 from conftest import conditioned, rank_deficient, rdist, rt
 from golden_data import (
     MP_A,
@@ -61,8 +64,9 @@ class TestSvd:
     def test_golden_reconstruction(self):
         triple = svd(MP_A)
         assert rdist(triple.reconstruct(), MP_A) <= 1e-10
-        assert is_unitary(triple.u, tol=1e-12)
-        assert is_unitary(triple.v, tol=1e-12)
+        # relative to 1 + ||I||_F = 3 on the 4x4 flattening: 1e-12 in distance, as before
+        assert is_unitary(triple.u, tol=1e-12 / 3)
+        assert is_unitary(triple.v, tol=1e-12 / 3)
 
     def test_zero_tensor_core(self):
         triple = svd(zeros((2, 2, 2, 2), 2))
@@ -146,6 +150,37 @@ class TestPenroseCheck:
         report = penrose_check(MP_A, pinv(MP_A), tol=1e-10)
         for r, s in zip(report.residuals, report.satisfied):
             assert s == (r <= report.tolerance)
+
+    @pytest.mark.parametrize("row, col", [([2, 3], [6]), ([6], [2, 3]), ([4], [3])])
+    @pytest.mark.parametrize("candidate", ["pinv", "random", "family"])
+    def test_residuals_are_the_tensor_definition_bit_for_bit(self, row, col, candidate):
+        a = rank_deficient(row, col, seed=70, rank=2)
+        y = rt(col, row, seed=71)
+        x = {"pinv": pinv(a), "random": y, "family": one_inverse_family(a, pinv(a), y)}[candidate]
+
+        def residual(p, q):
+            return frobenius_distance(p, q) / (1.0 + frobenius_norm(q))
+
+        ax, xa = chain(a, x), chain(x, a)
+        expected = (
+            residual(chain(ax, a), a),
+            residual(chain(xa, x), x),
+            residual(conj_transpose(ax), ax),
+            residual(conj_transpose(xa), xa),
+        )
+        assert penrose_check(a, x).residuals == expected
+
+    @pytest.mark.parametrize("split", [0, 1], ids=["no-row-group", "no-column-group"])
+    def test_grades_a_tensor_with_an_empty_index_group(self, split):
+        # the equations are taken on the flattenings, a 1x3 or 3x1 matrix here
+        a = Tensor(np.array([1.0, 2.0, 3.0]), split)
+        assert penrose_check(a, pinv(a)).all_satisfied
+        assert not penrose_check(a, zeros_like(pinv(a))).satisfied[0]
+
+    def test_relative_residual_refuses_arrays_of_different_shapes(self):
+        for got, want in ((np.zeros((2, 3)), np.zeros((3, 2))), (np.zeros(6), np.zeros((2, 3)))):
+            with pytest.raises(ShapeError):
+                _relative_residual(got, want)
 
 
 class TestFamilies:

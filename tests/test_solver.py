@@ -251,6 +251,18 @@ class TestVerifyUniqueTriple:
         with pytest.raises(PreconditionError):
             verify_unique_triple(a, b, d, x, 2.0 * x)
 
+    def test_right_hand_sides_split_otherwise_are_refused(self):
+        a = rt([2, 2], [3], seed=38)
+        x = pinv(a)
+        b, d = chain(a, x), chain(x, a)
+        for args in (
+            (Tensor(b.data, 1), d, x, x),
+            (b, Tensor(d.data, 2), x, x),
+            (b, d, x, Tensor(x.data, 2)),
+        ):
+            with pytest.raises(ShapeError):
+                verify_unique_triple(a, *args)
+
 
 class TestKroneckerRoute:
     def test_identity_coefficients(self):

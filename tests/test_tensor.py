@@ -14,6 +14,7 @@ from einverse import (
     conj_transpose,
     einstein_product,
     frobenius_distance,
+    frobenius_norm,
     is_hermitian,
     is_idempotent,
     is_unitary,
@@ -135,6 +136,24 @@ def test_published_witness_tensor_is_not_hermitian():
 def test_symmetrization_is_hermitian():
     a = rt([2, 2], [2, 2], seed=3)
     assert is_hermitian(a + conj_transpose(a))
+
+
+def test_explicit_tol_bounds_the_relative_residual():
+    a = rt([2, 2], [2, 2], seed=3)
+    e = rt([2, 2], [2, 2], seed=4)
+    e = e * (1e-9 / frobenius_norm(e))
+    near = 1e3 * (a + conj_transpose(a)) + e
+    # the distance to a* exceeds the tolerance; relative to ||near||_F it is far below
+    assert frobenius_distance(conj_transpose(near), near) > 1e-10
+    assert is_hermitian(near, tol=1e-10)
+
+
+def test_hermitian_distance_is_the_frobenius_norm():
+    # every entry of a - a* is 1e-11, within the default tolerance; their norm is not
+    a = Tensor(1e-11 * np.triu(np.ones((16, 16)), 1).reshape(4, 4, 4, 4), 2)
+    assert np.abs(a.data - conj_transpose(a).data).max() <= 1e-10
+    assert frobenius_distance(conj_transpose(a), a) > 1e-10 * (1.0 + frobenius_norm(a))
+    assert not is_hermitian(a)
 
 
 def test_predicates_require_square():
