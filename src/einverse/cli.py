@@ -16,9 +16,11 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .algebra import chain
@@ -44,15 +46,35 @@ class _CliError(Exception):
         self.category = category
 
 
+#: Deepest nesting of arrays and objects read (about where the stdlib reader
+#: stops).  orjson nests on the C stack with no limit of its own: 3.8 crashes
+#: the process at about 100,000 levels.
+_MAX_DEPTH = 1000
+_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"?', re.DOTALL)  # an unterminated one runs to the end
+_BRACKET_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
+_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b"[{]}")))
+
+
+def _too_deep(data: bytes) -> bool:
+    """Whether the JSON text ``data`` nests arrays and objects deeper than ``_MAX_DEPTH``."""
+    if data.count(b"[") + data.count(b"{") <= _MAX_DEPTH:
+        return False  # too few brackets to nest that deep, in strings or not
+    steps = _STRING.sub(b"", data).translate(_BRACKET_STEP, _NOT_BRACKET)
+    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0)) > _MAX_DEPTH
+
+
 def _load_tensor(path: str) -> Tensor:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return Tensor.from_json_dict(doc)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if _too_deep(data):
+            raise _CliError(
+                2, "input", f"{path} is not valid JSON: nested deeper than {_MAX_DEPTH} levels"
+            )
+        return Tensor.from_json_dict(orjson.loads(data))
     except OSError as exc:
         raise _CliError(2, "input", f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # a RecursionError here is the decoder giving up on deep nesting
+    except json.JSONDecodeError as exc:  # orjson's, bad UTF-8 included
         raise _CliError(2, "input", f"{path} is not valid JSON: {exc}") from exc
     except ShapeError as exc:
         raise _CliError(2, "input", f"{path}: {exc}") from exc
@@ -92,8 +114,11 @@ def _without_runs(value, runs: list, strings: list):
 def _run_text(head: str, run: list):
     """``head``, then ``run`` as ``json.dumps(indent=2)`` writes it after ``head``'s last line.
 
-    Chunks of ``_RUN_CHUNK`` floats go through the C encoder; their ``", "``
-    separators become the indented ones.
+    Chunks of ``_RUN_CHUNK`` floats go through one ``orjson.dumps`` each.  It
+    writes ``repr``'s digits, and ``repr``'s text for magnitudes in [1e-4,
+    1e16); every other float goes in as its ``repr`` string, whose quotes are
+    then dropped (a run holds no other strings).  The ``","`` separators become
+    the indented ones.
     """
     line = head.rpartition("\n")[2]
     newline = "\n" + line[: len(line) - len(line.lstrip(" "))]  # at the indent of that line
@@ -102,7 +127,8 @@ def _run_text(head: str, run: list):
     for start in range(0, len(run), _RUN_CHUNK):
         if start:
             yield sep
-        yield json.dumps(run[start : start + _RUN_CHUNK], allow_nan=False)[1:-1].replace(", ", sep)
+        chunk = [x if 1e-4 <= abs(x) < 1e16 else repr(x) for x in run[start : start + _RUN_CHUNK]]
+        yield orjson.dumps(chunk).decode()[1:-1].replace('"', "").replace(",", sep)
     yield newline + "]"
 
 

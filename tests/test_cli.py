@@ -497,7 +497,11 @@ def test_every_verb_writes_the_reference_encoder_bytes(write_tensor, tmp_path, c
         assert out.read_text(encoding="utf-8") == text, argv
 
 
-_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22, 1.0, -2.5e-308])
+_EDGE_FLOATS = st.sampled_from([
+    -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22, 1.0, -2.5e-308,
+    # either side of where the writer hands a float to repr instead of orjson
+    1e-4, -1e-4, 9.999999999999999e-05, 0.00010000000000000002, 9999999999999998.0, 1e15, -1e16,
+])
 _FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
 # keys and strings also hold NUL, quotes, backslashes and the writer's placeholder text
 _TEXT = st.one_of(
@@ -521,6 +525,15 @@ _JSON = st.recursive(
 def test_json_writer_matches_the_reference_encoder(doc, chunk):
     with mock.patch.object(cli, "_RUN_CHUNK", chunk):
         assert "".join(cli._json_text(doc)) == reference_text(doc)
+
+
+def test_json_writer_matches_the_reference_encoder_across_magnitudes():
+    # log-uniform magnitudes from subnormal to huge, so most chunks mix both writers' floats
+    rng = np.random.default_rng(15)
+    run = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-320, 300, 3000)
+    run[::97], run[50::89] = -0.0, 5e-324
+    doc = {"re": run.tolist()}
+    assert "".join(cli._json_text(doc)) == reference_text(doc)
 
 
 def test_json_writer_refuses_what_the_reference_encoder_refuses():
@@ -659,6 +672,19 @@ def _replaced(key, values):
     return values.map(lambda v: json.dumps({**_VALID, key: v}))
 
 
+#: Files the strict RFC 8259 reader refuses: NaN and Infinity literals, a lone
+#: surrogate, a byte order mark, and nesting deeper than it reads, also inside
+#: a key it ignores.
+STRICT_REFUSALS = [
+    *('{"extents": [2, 2], "split": 1, "re": [1.0, %s, 3.0, 4.0]}' % word
+      for word in ("NaN", "Infinity", "-Infinity")),
+    '{"extents": [2, 2], "split": 1, "re": [1, 2, 3, 4], "x": "\\ud800"}',
+    b"\xef\xbb\xbf" + json.dumps(_VALID).encode(),
+    "[" * 100_000 + "]" * 100_000,
+    *(json.dumps(_VALID)[:-1] + ', "x": ' + '{"a": ' * depth + "1" + "}" * depth + "}"
+      for depth in (cli._MAX_DEPTH + 1, 100_000)),
+]
+
 #: Tensor files that are not tensors, as raw text (or bytes, for bad encodings).
 MALFORMED = st.one_of(
     st.sampled_from(["", "{", "[1, 2", "null", "3", '"text"', "[]", "{}", "[" * 100_000]),
@@ -687,6 +713,7 @@ MALFORMED = st.one_of(
         % ", ".join("1e400" if j == i else "1.0" for j in range(4))
     ),
     st.just(b'{"extents": [2, 2], "split": 1, "re": [1, 2, 3, 4], "x": "\xff"}'),
+    st.sampled_from(STRICT_REFUSALS),
     # JSON types outside the schema, which numeric conversion alone would accept
     st.sampled_from([
         {**_VALID, "extents": "22"},
@@ -700,10 +727,7 @@ MALFORMED = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=MALFORMED, position=st.sampled_from(["info", "solve-ax"]))
-def test_malformed_tensor_files_exit_2_with_one_input_line(tmp_path_factory, text, position):
-    tmp = tmp_path_factory.mktemp("fuzz")
+def assert_refused_with_one_input_line(tmp, text, position):
     bad = tmp / "bad.json"
     if isinstance(text, bytes):
         bad.write_bytes(text)
@@ -719,3 +743,50 @@ def test_malformed_tensor_files_exit_2_with_one_input_line(tmp_path_factory, tex
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith(f"error: input: {bad}")
     assert out.getvalue() == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=MALFORMED, position=st.sampled_from(["info", "solve-ax"]))
+def test_malformed_tensor_files_exit_2_with_one_input_line(tmp_path_factory, text, position):
+    assert_refused_with_one_input_line(tmp_path_factory.mktemp("fuzz"), text, position)
+
+
+@pytest.mark.parametrize("text", STRICT_REFUSALS, ids=range(len(STRICT_REFUSALS)))
+def test_strict_reader_refusals_exit_2_with_one_input_line(tmp_path, text):
+    assert_refused_with_one_input_line(tmp_path, text, "info")
+
+
+def test_reader_reads_nesting_up_to_its_limit_and_ignores_brackets_in_strings(tmp_path):
+    a = rt((2,), (2,), seed=5)
+    body = json.dumps(a.to_json_dict())[:-1] + ', "x": '  # the document is one level
+    depth = cli._MAX_DEPTH - 1
+    path = tmp_path / "a.json"
+    for extra in (
+        "[" * depth + "]" * depth,
+        '{"a": ' * depth + '"' + "[{" * 3 * depth + '"' + "}" * depth,
+        "[" + "[], " * 5 * depth + "[]]",  # many brackets, none deep
+        '"\\"' + "[" * 3 * depth + '"',  # an escaped quote does not end the string
+    ):
+        path.write_text(body + extra + "}")
+        assert cli._load_tensor(str(path)).data.tobytes() == a.data.tobytes(), extra[:20]
+
+
+def test_reader_reads_the_stdlib_readers_bits(tmp_path):
+    rng = np.random.default_rng(15)
+    values = rng.standard_normal(2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+    literals = [repr(v) for v in values.tolist()] + [
+        "0.0", "-0.0", "5e-324", "-5e-324", "1.7976931348623157e308", "-1.7976931348623157e+308",
+        "0.1234567890123456789012345", "1234567890123456789012345", "-1234567890123456789.012345e-7",
+        "2.4703282292062328e-324", "9007199254740993", "1e-400", "-0", "1E+5",
+    ]  # an even count, so every literal lands in re or im
+    literals += ["%.24e" % v for v in values[:200].tolist()]
+    rng.shuffle(literals)
+    half = len(literals) // 2
+    path = tmp_path / "t.json"
+    path.write_text(
+        '{"extents": [%d], "split": 0, "re": [%s], "im": [%s]}'
+        % (half, ", ".join(literals[:half]), ", ".join(literals[half:]))
+    )
+    with open(path, encoding="utf-8") as fh:
+        want = Tensor.from_json_dict(json.load(fh))
+    assert cli._load_tensor(str(path)).data.tobytes() == want.data.tobytes()
