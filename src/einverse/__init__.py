@@ -45,7 +45,6 @@ from .solver import (
     common_solution,
     solve_ax,
     solve_axb,
-    solve_axb_via_kronecker,
     verify_unique_triple,
 )
 from .tensor import (
@@ -105,7 +104,6 @@ __all__ = [
     "row_block",
     "solve_ax",
     "solve_axb",
-    "solve_axb_via_kronecker",
     "svd",
     "transpose",
     "unit_tensor",

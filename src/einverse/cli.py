@@ -5,9 +5,9 @@ Tensor files are JSON documents ``{"extents": [...], "split": k,
 "re": [...], "im": [...]}`` in canonical entry order ("im" optional for real
 tensors); outputs reuse the same schema with extra report fields, so any
 produced tensor can be fed back in.  Exit codes: 0 success, 1 numeric
-failures, 2 argument errors, unreadable or malformed input files and
-precondition failures, 3 shape errors, 4 inconsistent system under
---require-consistent.
+failures, 2 argument errors, unreadable or malformed input files,
+unwritable output files and precondition failures, 3 shape errors, 4
+inconsistent system under --require-consistent.
 """
 
 from __future__ import annotations
@@ -164,8 +164,11 @@ def _emit(doc: dict, out: str | None, fmt: str):
     if fmt == "table":
         pieces = ["\n".join(_table_lines(doc)) + "\n"]
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise _CliError(2, "output", f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.writelines(pieces)
 
@@ -383,6 +386,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.tol < math.inf:  # NaN fails every comparison
+            raise _CliError(2, "argument", f"--tol must be finite and >= 0, not {args.tol}")
         # a non-finite result is reported once, as a numeric error, not also as numpy warnings
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -20,17 +20,15 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import _product, chain, kronecker, unvec, vec
+from .algebra import _product, chain
 from .errors import PreconditionError, ShapeError
 from .inverses import _pinv_sharing, pinv
 from .tensor import (
     Tensor,
-    TensorShape,
     _relative_residual,
     _require_free_shape,
     frobenius_distance,
     frobenius_norm,
-    transpose,
     unit_tensor,
 )
 
@@ -198,35 +196,3 @@ def verify_unique_triple(
     )
     return frobenius_distance(x, y) <= bound
 
-
-def solve_axb_via_kronecker(
-    a: Tensor, b: Tensor, d: Tensor, tol: float = SOLVE_TOL
-) -> SolveOutcome:
-    """Solve ``a x b = d`` through the blocked-product reformulation.
-
-    Rewrites the system as ``(a kron b^T) vec(x) = vec(d)`` and applies the
-    one-sided solver in the lifted space.  The transpose (not the conjugate
-    transpose) is required for the rewrite to hold over complex entries.
-    Particular solutions may differ from :func:`solve_axb`'s.  The verdicts
-    agree only for well-conditioned factors: the lifted inverse's rounding
-    error grows like ``cond(a) cond(b)``, not ``cond(a) + cond(b)``, so planted
-    consistent systems fail ``tol`` from about ``cond = 1e5`` per factor.
-    """
-    if d.row_extents != a.row_extents or d.col_extents != b.col_extents:
-        raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")
-    # pinv(a kron b^T) = pinv(a) kron pinv(b)^T: the factors' kept inverses, no lifted SVD
-    g = kronecker(pinv(a), transpose(_pinv_sharing(b, a)))
-    x_shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
-    x0v = chain(g, vec(d))
-    x0 = unvec(x0v, x_shape)
-    residual = _relative_residual(_product(a, x0, b), d._data)
-    # the lifted projector is built on the generator's first call, not before
-    gop = functools.cache(lambda: chain(g, kronecker(a, transpose(b))))
-
-    def generator(z: Tensor) -> Tensor:
-        _require_free_shape(z, x_shape)
-        zv = vec(z)
-        xv = x0v._data + zv._data - _product(gop(), zv)
-        return Tensor(xv.reshape(x_shape.extents), x_shape.split)
-
-    return SolveOutcome(residual <= tol, x0, residual, generator)

@@ -11,11 +11,13 @@ import numpy as np
 
 from einverse import (
     Tensor,
+    TensorShape,
     block2x2,
     chain,
     conj_transpose as ct,
     frobenius_distance,
     frobenius_norm,
+    kronecker,
     one_four_family,
     one_inverse_family,
     one_three_family,
@@ -23,7 +25,10 @@ from einverse import (
     pinv,
     row_block,
     svd,
+    transpose,
     unit_tensor,
+    unvec,
+    vec,
     zeros,
 )
 from conftest import rank_deficient, rt
@@ -43,6 +48,16 @@ def idem_res(t):
 
 def eq1_res(a, x):
     return rres(chain(a, x, a), a)
+
+
+def kronecker_oracle(a, b, d):
+    """Particular solution of ``a x b = d`` from ``(a kron b^T) vec x = vec d``, and its residual.
+
+    The lift takes its own SVD, so the oracle shares no factorization with ``solve_axb``.
+    """
+    shape = TensorShape(a.col_extents + b.row_extents, len(a.col_extents))
+    x = unvec(chain(pinv(kronecker(a, transpose(b))), vec(d)), shape)
+    return x, rres(chain(a, x, b), d)
 
 
 def sample_g1(a, seed):

@@ -403,6 +403,31 @@ def test_unsupported_lambda_is_an_argument_error(verb, lam, files, write_tensor,
     assert len(lines) == 1 and lines[0].startswith("error: argument: "), captured.err
 
 
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("files", ["present", "missing"])
+def test_invalid_tol_is_an_argument_error(verb, tol, files, write_tensor, tmp_path, capsys):
+    # rejected before any operand file is read, so a missing one is never reported
+    path = write_tensor("a.json", MP_A) if files == "present" else str(tmp_path / "none.json")
+    out = tmp_path / "out.json"
+    operands = [path] * len(cli._VERBS[verb][1])
+    lam = ["--lambda", "1"] if verb in ("ginv", "check-rol") else []
+    code = main([verb, *operands, *lam, f"--tol={tol}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert not out.exists()
+    lines = captured.err.splitlines()
+    assert lines == [f"error: argument: --tol must be finite and >= 0, not {float(tol)}"]
+
+
+def test_zero_tol_is_legal(write_tensor, capsys):
+    path = write_tensor("a.json", MP_A)
+    code, doc = run_json(capsys, ["solve-ax", path, path, "--tol", "0"])
+    assert code == 0
+    assert doc["consistent"] is (doc["residual"] == 0.0)
+
+
 def strict_json(text):
     """Parse ``text`` as strict JSON: the NaN and Infinity tokens are refused."""
 
@@ -495,6 +520,20 @@ def test_every_verb_writes_the_reference_encoder_bytes(write_tensor, tmp_path, c
         assert text == reference_text(json.loads(text)), argv
         assert main(argv + ["--out", str(out)]) == 0, argv
         assert out.read_text(encoding="utf-8") == text, argv
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_an_output_error(target, write_tensor, tmp_path, capsys):
+    out = tmp_path / "none" / "out.json" if target == "missing-directory" else tmp_path
+    for argv in every_verb(write_tensor):
+        for fmt in ("json", "table"):
+            code = main(argv + ["--out", str(out), "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 2, (argv, fmt)
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith(f"error: output: cannot write {out}: "), captured.err
 
 
 _EDGE_FLOATS = st.sampled_from([

@@ -17,7 +17,6 @@ from einverse import (
     common_solution,
     frobenius_distance,
     frobenius_norm,
-    kronecker,
     mp_from_13_14,
     one_four_family,
     one_inverse_family,
@@ -26,17 +25,14 @@ from einverse import (
     row_block,
     solve_ax,
     solve_axb,
-    solve_axb_via_kronecker,
-    transpose,
     unit_tensor,
-    unvec,
-    vec,
     verify_unique_triple,
     zeros,
     zeros_like,
 )
 from einverse.solver import SOLVE_TOL
 from conftest import rank_deficient, rdist, rt
+from identity_checks import kronecker_oracle
 
 
 def equation_residual(a, x, b, d):
@@ -204,7 +200,6 @@ def verdict_battery(seed):
                 return t + noise * (eps * frobenius_norm(t) / frobenius_norm(noise))
 
             yield solve_axb(a, d, rhs(chain(a, x, d)))
-            yield solve_axb_via_kronecker(a, d, rhs(chain(a, x, d)))
             yield solve_ax(a, rhs(chain(a, x)))
             yield common_solution(a, rhs(chain(a, x)), d, chain(x, d))
 
@@ -265,12 +260,14 @@ class TestVerifyUniqueTriple:
 
 
 class TestKroneckerRoute:
+    """``solve_axb`` against the vec identity's oracle, which takes its own SVD of the lift."""
+
     def test_identity_coefficients(self):
         d = rt([2, 2], [2, 2], seed=41)
         i = unit_tensor([2, 2])
-        outcome = solve_axb_via_kronecker(i, i, d)
-        assert outcome.consistent
-        assert rdist(outcome.particular, d) <= 1e-12
+        x, residual = kronecker_oracle(i, i, d)
+        assert residual <= SOLVE_TOL
+        assert rdist(x, d) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_planted_solution_complex_data(self, seed):
@@ -279,62 +276,22 @@ class TestKroneckerRoute:
         xhat = rt([3], [2], 1200 + seed)
         d = chain(a, xhat, b)
         direct = solve_axb(a, b, d)
-        lifted = solve_axb_via_kronecker(a, b, d)
-        assert direct.consistent and lifted.consistent
-        assert direct.residual <= 1e-9 and lifted.residual <= 1e-9
+        x, residual = kronecker_oracle(a, b, d)
+        assert direct.consistent and residual <= SOLVE_TOL
+        assert direct.residual <= 1e-9 and residual <= 1e-9
         # both particular solutions solve the same equation
-        assert equation_residual(a, lifted.particular, b, d) <= 1e-9
-        # a shared free tensor produces a solution through either route
+        assert equation_residual(a, x, b, d) <= 1e-9
         z = rt([3], [2], 1300 + seed)
         assert equation_residual(a, direct.generator(z), b, d) <= 1e-9
-        assert equation_residual(a, lifted.generator(z), b, d) <= 1e-9
 
     def test_routes_agree_on_inconsistent_systems(self):
         a = rank_deficient([2, 2], [3], seed=42, rank=2)
         b = rank_deficient([2], [2, 2], seed=43, rank=1)
         d = rt([2, 2], [2, 2], seed=44)
         direct = solve_axb(a, b, d)
-        lifted = solve_axb_via_kronecker(a, b, d)
-        assert direct.consistent == lifted.consistent is False
-        assert abs(direct.residual - lifted.residual) <= 1e-9
-
-    def test_inverts_the_factors_not_the_lift(self, svd_calls):
-        a = rank_deficient([2, 2], [3], seed=45, rank=2)
-        b = rank_deficient([2], [2, 2], seed=46, rank=1)
-        d = chain(a, rt([3], [2], seed=47), b)
-        svd_calls.clear()  # the operands were built with SVDs of their own
-        assert solve_axb_via_kronecker(a, b, d).consistent
-        # one SVD per factor's flattening (4x3 and 2x4), none of the 16x6 lift
-        assert sorted(svd_calls) == [(2, 4), (4, 3)]
-
-    def test_conjugate_transpose_factor_reuses_the_factorization(self, svd_calls):
-        a = rt([2, 2], [3], seed=49)
-        d = chain(a, rt([3], [3], seed=50), ct(a))
-        assert solve_axb_via_kronecker(a, ct(a), d).consistent
-        assert svd_calls == [(4, 3)]  # as in solve_axb: pinv(a*) is pinv(a)*
-
-    def test_lifted_product_waits_for_the_generator(self, monkeypatch):
-        import einverse.solver as solver
-
-        a = rank_deficient([2, 2], [3], seed=45, rank=2)
-        b = rank_deficient([2], [2, 2], seed=46, rank=1)
-        d = chain(a, rt([3], [2], seed=47), b)
-        lifted_products = []
-        real_chain = solver.chain
-
-        def spying_chain(*factors):
-            # the lift a kron b^T flattens to 16x6
-            if any((f.row_count, f.col_count) == (16, 6) for f in factors):
-                lifted_products.append(factors)
-            return real_chain(*factors)
-
-        monkeypatch.setattr(solver, "chain", spying_chain)
-        outcome = solve_axb_via_kronecker(a, b, d)
-        assert outcome.consistent and lifted_products == []
-        z = rt([3], [2], seed=48)
-        assert equation_residual(a, outcome.generator(z), b, d) <= 1e-9
-        outcome.generator(z)
-        assert len(lifted_products) == 1  # built on the first call, then kept
+        _, residual = kronecker_oracle(a, b, d)
+        assert direct.consistent == (residual <= SOLVE_TOL) is False
+        assert abs(direct.residual - residual) <= 1e-9
 
 
 def _free_tensor_entry_points():
@@ -350,7 +307,6 @@ def _free_tensor_entry_points():
         "solve_axb": solve_axb(a, b, d).generator,
         "solve_ax": solve_ax(a, chain(a, f)).generator,
         "common_solution": common_solution(a, chain(a, f), d2, chain(f, d2)).generator,
-        "solve_axb_via_kronecker": solve_axb_via_kronecker(a, b, d).generator,
     }
 
 
@@ -362,7 +318,7 @@ def _free_tensor_entry_points():
     ]
     + [
         (name, "free tensor Tensor(2 | 2) must be shaped like TensorShape(extents=(3, 2), split=1)")
-        for name in ("solve_axb", "solve_ax", "common_solution", "solve_axb_via_kronecker")
+        for name in ("solve_axb", "solve_ax", "common_solution")
     ],
 )
 def test_free_tensor_of_wrong_shape_is_refused_with_its_message(entry, expected):
@@ -392,23 +348,14 @@ def _generator_cases():
         coproj = unit_tensor([3]) - chain(d2, pinv(d2))
         return out.particular + chain(unit_tensor([3, 2]) - left(), y, coproj)
 
-    def lifted(out):
-        g = kronecker(pinv(a), transpose(pinv(b)))
-        gop = chain(g, kronecker(a, transpose(b)))
-        xv = vec(out.particular) + vec(z) - chain(gop, vec(z))
-        return unvec(xv, out.particular.shape)
-
     return {
         "solve_axb": (solve_axb(a, b, d), z, axb),
         "solve_ax": (solve_ax(a, rhs), y, ax),
         "common_solution": (common_solution(a, rhs, d2, f2), y, common),
-        "solve_axb_via_kronecker": (solve_axb_via_kronecker(a, b, d), z, lifted),
     }
 
 
-@pytest.mark.parametrize(
-    "solver", ["solve_axb", "solve_ax", "common_solution", "solve_axb_via_kronecker"]
-)
+@pytest.mark.parametrize("solver", ["solve_axb", "solve_ax", "common_solution"])
 def test_generator_follows_its_formula_bit_for_bit(solver):
     outcome, z, formula = _generator_cases()[solver]
     got = outcome.generator(z)
