@@ -6,16 +6,18 @@ Tensor files are JSON documents ``{"extents": [...], "split": k,
 tensors); outputs reuse the same schema with extra report fields, so any
 produced tensor can be fed back in.  Exit codes: 0 success, 1 numeric
 failures, 2 argument errors, unreadable or malformed input files,
-unwritable output files and precondition failures, 3 shape errors, 4
-inconsistent system under --require-consistent.
+unwritable output files or stdout and precondition failures, 3 shape
+errors, 4 inconsistent system under --require-consistent.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import re
 import sys
 
@@ -44,6 +46,18 @@ class _CliError(Exception):
         super().__init__(message)
         self.code = code
         self.category = category
+
+
+#: The exit code and category of each library failure (a ``_CliError`` carries its own).
+_LIBRARY_ERRORS = {ShapeError: (3, "shape"), PreconditionError: (2, "precondition"),
+                   NumericError: (1, "numeric")}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``argument`` failures, not a usage block and an exit."""
+
+    def error(self, message):
+        raise _CliError(2, "argument", message)
 
 
 #: Deepest nesting of arrays and objects read (about where the stdlib reader
@@ -163,14 +177,18 @@ def _emit(doc: dict, out: str | None, fmt: str):
         raise NumericError(f"non-finite value in output: {exc}") from exc
     if fmt == "table":
         pieces = ["\n".join(_table_lines(doc)) + "\n"]
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
-        except OSError as exc:
-            raise _CliError(2, "output", f"cannot write {out}: {exc}") from exc
-    else:
-        sys.stdout.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:  # what stdout still buffers goes nowhere at exit, not to a second failure
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())  # no-op for a stdout without one
+        raise _CliError(2, "output", f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _table_lines(doc, prefix=""):
@@ -196,12 +214,11 @@ def _tensor_doc(t: Tensor, **extra) -> dict:
     return doc
 
 
-def _cmd_pinv(args) -> int:
+def _cmd_pinv(args):
     a = _load_tensor(args.tensor)
     x = pinv(a)
     report = penrose_check(a, x, args.tol)
     _emit(_tensor_doc(x, report=report.to_json_dict()), args.out, args.format)
-    return 0
 
 
 def _free(a: Tensor, seed: int) -> Tensor:
@@ -221,7 +238,7 @@ _GINV = {
 }
 
 
-def _cmd_ginv(args) -> int:
+def _cmd_ginv(args):
     kind = _parse_kind(args.lam, _GINV)
     a = _load_tensor(args.tensor)
     g = _GINV[str(kind)](a, args.seed)
@@ -231,7 +248,6 @@ def _cmd_ginv(args) -> int:
         **{"lambda": sorted(kind.flags), "seed": args.seed, "report": report.to_json_dict()},
     )
     _emit(doc, args.out, args.format)
-    return 0
 
 
 #: The --lambda kinds check-rol diagnoses, as ``str(LambdaKind)``.
@@ -259,7 +275,7 @@ _SOLVERS = {
 }
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     solver, operands = _SOLVERS[args.verb]
     outcome = solver(*[_load_tensor(getattr(args, name)) for name in operands], tol=args.tol)
     doc = {
@@ -271,15 +287,10 @@ def _cmd_solve(args) -> int:
         doc["generated_solution"] = outcome.generator(_load_tensor(args.z)).to_json_dict()
     _emit(doc, args.out, args.format)
     if args.require_consistent and not outcome.consistent:
-        print(
-            f"error: inconsistent: residual {outcome.residual:.6e} exceeds tolerance",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+        raise _CliError(4, "inconsistent", f"residual {outcome.residual:.6e} exceeds tolerance")
 
 
-def _cmd_check_rol(args) -> int:
+def _cmd_check_rol(args):
     kind = _parse_kind(args.lam, _ROL_KINDS)
     a = _load_tensor(args.a)
     b = _load_tensor(args.b)
@@ -304,18 +315,16 @@ def _cmd_check_rol(args) -> int:
         doc["mp_distance"] = diag.mp_distance
         doc["reverse_order_holds"] = diag.reverse_order_holds
     _emit(doc, args.out, args.format)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     a = _load_tensor(args.a)
     x = _load_tensor(args.x)
     report = penrose_check(a, x, args.tol)
     _emit({"report": report.to_json_dict()}, args.out, args.format)
-    return 0
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args):
     a = _load_tensor(args.tensor)
     doc = {
         "extents": list(a.extents),
@@ -326,7 +335,6 @@ def _cmd_info(args) -> int:
         "frobenius_norm": frobenius_norm(a),
     }
     _emit(doc, args.out, args.format)
-    return 0
 
 
 _SOLVE_OPTIONS = (
@@ -361,7 +369,7 @@ _VERBS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="einverse",
         description="Generalized inverses of even-order tensors and multilinear solvers.",
     )
@@ -383,26 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if not 0 <= args.tol < math.inf:  # NaN fails every comparison
             raise _CliError(2, "argument", f"--tol must be finite and >= 0, not {args.tol}")
         # a non-finite result is reported once, as a numeric error, not also as numpy warnings
         with np.errstate(all="ignore"):
-            return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return exc.code
-    except ShapeError as exc:
-        print(f"error: shape: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"error: precondition: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return 1
+            args.func(args)
+        return 0
+    except (_CliError, *_LIBRARY_ERRORS) as exc:
+        code, category = (
+            (exc.code, exc.category) if isinstance(exc, _CliError)
+            else next(entry for kind, entry in _LIBRARY_ERRORS.items() if isinstance(exc, kind))
+        )
+        print(f"error: {category}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -23,9 +23,8 @@ from .tensor import (
     Tensor,
     _relative_residual,
     _require_free_shape,
+    _require_same_shape,
     conj_transpose,
-    frobenius_distance,
-    frobenius_norm,
     unit_tensor,
 )
 
@@ -270,17 +269,18 @@ class ReverseOrderDiagnosis:
 
 
 def _condition(name: str, pair, tol: float) -> ConditionCheck:
-    """Whether ``p = q`` holds for ``p, q = pair()``: ``||p - q||_F <= tol (1 + ||q||_F)``.
+    """Whether ``p = q`` holds for ``p, q = pair()``: its relative residual is at most ``tol``.
 
     A condition whose product or comparison is not shape-conformable (published
     operand orders can disagree) is reported as NaN / not holding.
     """
     try:
         p, q = pair()
-        res = frobenius_distance(p, q)
+        _require_same_shape(p, q)
+        res = _relative_residual(p._data, q._data)
     except ShapeError:
         return ConditionCheck(name, float("nan"), False)
-    return ConditionCheck(name, res, res <= tol * (1.0 + frobenius_norm(q)))
+    return ConditionCheck(name, res, res <= tol)
 
 
 def _hermitian(*factors) -> tuple[Tensor, Tensor]:
@@ -336,6 +336,9 @@ def reverse_order_diagnose(
         ga = pinv(a)
     if gb is None:
         gb = pinv(b)
+    for name, g, t in (("ga", ga, a), ("gb", gb, b)):
+        if g.shape != t.shape.swapped():
+            raise ShapeError(f"{name} {g!r} does not match {t!r} with groups swapped")
     flags = tuple(sorted(kind.flags))
     ga_ok = _is_kept_pinv(a, ga) or penrose_check(a, ga, tol).satisfies(flags)
     gb_ok = _is_kept_pinv(b, gb) or penrose_check(b, gb, tol).satisfies(flags)

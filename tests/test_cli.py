@@ -64,8 +64,8 @@ def test_pinv_byte_identical_runs(write_tensor, tmp_path):
     out1, out2 = str(tmp_path / "o1.json"), str(tmp_path / "o2.json")
     assert main(["pinv", a_path, "--out", out1]) == 0
     assert main(["pinv", a_path, "--out", out2]) == 0
-    b1 = open(out1, "rb").read()
-    assert b1 == open(out2, "rb").read()
+    b1 = (tmp_path / "o1.json").read_bytes()
+    assert b1 == (tmp_path / "o2.json").read_bytes()
     assert len(b1) > 0
 
 
@@ -73,7 +73,7 @@ def test_verify_round_trip_of_pinv_output(write_tensor, tmp_path, capsys):
     a_path = write_tensor("a.json", MP_A)
     x_path = str(tmp_path / "x.json")
     assert main(["pinv", a_path, "--out", x_path]) == 0
-    pinv_doc = json.loads(open(x_path).read())
+    pinv_doc = json.loads((tmp_path / "x.json").read_text())
     code, doc = run_json(capsys, ["verify", a_path, x_path])
     assert code == 0
     assert all(doc["report"]["satisfied"])
@@ -122,9 +122,10 @@ def test_solve_ax_mp_variant(write_tensor, capsys):
     assert code == 0
     assert doc["consistent"] is True  # generic square a is invertible
     # --mp changed nothing and is gone
-    with pytest.raises(SystemExit) as exc:
-        main(["solve-ax", a_path, b_path, "--mp"])
-    assert exc.value.code == 2
+    assert main(["solve-ax", a_path, b_path, "--mp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument: unrecognized arguments: --mp\n"
 
 
 def solve_verb_operands(verb, consistent):
@@ -301,7 +302,23 @@ def test_check_rol_mp_golden_counterexample(write_tensor, capsys):
     assert doc["reverse_order_holds"] is False
     # the candidate fails the third defining equation for the product
     assert doc["report"]["satisfied"][2] is False
-    assert doc["mp_distance"] > 0.5
+    _, (distance, holds) = numpy_conditions(MP_A, MP_B, "mp")
+    assert doc["mp_distance"] == pytest.approx(distance, rel=1e-6) and holds is False
+    assert doc["mp_distance"] > 1e6 * doc["report"]["tolerance"]
+
+
+@pytest.mark.parametrize("given", ["ga", "gb"])
+def test_check_rol_names_a_given_inverse_of_the_wrong_shape(given, write_tensor, capsys):
+    a, b = rt([2], [3], seed=15), rt([3], [4], seed=16)
+    # the given inverse is the other operand, not shaped like its own operand swapped
+    owner, wrong = (a, b) if given == "ga" else (b, a)
+    argv = ["check-rol", write_tensor("a.json", a), write_tensor("b.json", b), "--lambda", "1"]
+    code = main(argv + [f"--{given}", write_tensor("g.json", wrong)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        f"error: shape: {given} {wrong!r} does not match {owner!r} with groups swapped\n"
+    )
 
 
 def test_check_rol_with_lambda_14(write_tensor, capsys):
@@ -347,12 +364,37 @@ def test_table_format(write_tensor, capsys):
 
 
 def test_argument_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["pinv"])  # missing file operand
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])  # unknown verb
-    assert exc.value.code == 2
+    for argv in (["pinv"], ["frobnicate"]):  # missing file operand, unknown verb
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: argument: "), captured.err
+
+
+def usage_errors():
+    """Argument lists the parser refuses: each verb with one usage slip, then bad verbs."""
+    cases = []
+    for verb, (_, operands, *_) in cli._VERBS.items():
+        lam = ["--lambda", "1"] if verb in ("ginv", "check-rol") else []
+        full = [verb, *["a.json"] * len(operands), *lam]
+        cases += [
+            [verb, *["a.json"] * (len(operands) - 1), *lam],  # an operand missing
+            full + ["--bogus"],
+            full + ["--tol", "abc"],
+            full + ["--tol", "-1e-3"],  # an option to argparse, or a --tol below 0
+            full + ["--format", "xml"],
+        ]
+    return cases + [["ginv", "a.json"], [], ["frobnicate", "a.json"]]
+
+
+@pytest.mark.parametrize("argv", usage_errors(), ids=lambda argv: " ".join(argv) or "no verb")
+def test_usage_error_is_one_argument_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: argument: "), captured.err
 
 
 def test_unreadable_file_exit_code(capsys):
@@ -507,6 +549,56 @@ def test_numeric_failure_prints_one_stderr_line(tensor, write_tensor):
     assert len(lines) == 1 and lines[0].startswith("error: numeric: "), done.stderr
 
 
+def cli_process(argv, unbuffered, **kwargs):
+    """Start the CLI in a child process, with stdout unbuffered or not."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(einverse.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "einverse.cli", *argv], env=env, **kwargs)
+
+
+def assert_one_stdout_error(code, err):
+    assert code == 2
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output: cannot write stdout: "), err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_one_output_line(unbuffered, write_tensor):
+    # more output than a pipe holds, so the write meets the closed end
+    path = write_tensor("a.json", random_tensor((8, 8, 8, 8), split=2, seed=3))
+    with cli_process(["pinv", path], unbuffered, stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE) as proc:
+        assert len(os.read(proc.stdout.fileno(), 1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert_one_stdout_error(proc.returncode, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_is_one_output_line(unbuffered, write_tensor):
+    path = write_tensor("a.json", MP_A)
+    with open("/dev/full", "wb") as full, cli_process(
+        ["info", path], unbuffered, stdout=full, stderr=subprocess.PIPE
+    ) as proc:
+        err = proc.stderr.read()
+    assert_one_stdout_error(proc.returncode, err)
+
+
+def test_failing_in_memory_stdout_is_one_output_line(write_tensor, monkeypatch, capsys):
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(["info", write_tensor("a.json", MP_A)]) == 2
+    assert capsys.readouterr().err == (
+        "error: output: cannot write stdout: [Errno 28] No space left on device\n"
+    )
+
+
 def reference_text(doc):
     """What the JSON writer must produce: the pure-Python indenting encoder's bytes."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -640,7 +732,7 @@ def test_large_output_is_written_in_bounded_pieces(write_tensor, monkeypatch):
 def numpy_conditions(a, b, lam, tol=1e-10):
     """check-rol's conditions and (for mp) its reverse-order verdict, on the flattenings.
 
-    A condition whose product or comparison is not conformable gives ``(None, False)``.
+    Each residual is ``||p - q||_F / (1 + ||q||_F)``.  A condition whose product or comparison is not conformable gives ``(None, False)``.
     """
     m_a, m_b = a.as_matrix(), b.as_matrix()
     g_a, g_b = np.linalg.pinv(m_a), np.linalg.pinv(m_b)
@@ -654,8 +746,8 @@ def numpy_conditions(a, b, lam, tol=1e-10):
             return None, False
         if p.shape != q.shape:
             return None, False
-        res = float(np.linalg.norm(p - q))
-        return res, res <= tol * (1.0 + float(np.linalg.norm(q)))
+        res = float(np.linalg.norm(p - q)) / (1.0 + float(np.linalg.norm(q)))
+        return res, res <= tol
 
     def equal_to(m):
         return lambda q: m
@@ -697,9 +789,11 @@ def test_check_rol_matches_plain_numpy(lam, b_kind, write_tensor, capsys):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+    for argv in (["--version"], ["--help"], ["pinv", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 _WORDS = st.sampled_from(["x", "", "1,0", "two"])

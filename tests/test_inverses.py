@@ -326,7 +326,12 @@ class TestReverseOrderDiagnose:
         diag = reverse_order_diagnose(MP_A, MP_B, LambdaKind.parse("mp"))
         assert not diag.candidate_is_inverse
         assert diag.reverse_order_holds is False
-        assert diag.mp_distance > 0.5
+        # the candidate's relative distance from the product's inverse, in plain numpy
+        m_a, m_b = MP_A.as_matrix(), MP_B.as_matrix()
+        want = np.linalg.pinv(m_a @ m_b)
+        gap = np.linalg.norm(np.linalg.pinv(m_b) @ np.linalg.pinv(m_a) - want)
+        assert diag.mp_distance == pytest.approx(gap / (1.0 + np.linalg.norm(want)), rel=1e-6)
+        assert diag.mp_distance > 1e6 * diag.candidate_report.tolerance
         assert rdist(diag.candidate, MP_D) <= 1e-9
         assert not diag.sufficient_condition_holds
 
