@@ -16,19 +16,20 @@ def einstein_product(a: Tensor, b: Tensor, n: int) -> Tensor:
     Generalizes matrix multiplication: with ``n`` equal to the size of
     ``a``'s column group and ``b``'s row group this is the usual contracted
     product; smaller or larger ``n`` covers the degenerate forms where one
-    operand has an empty column group (vector-like right factor).
+    operand has an empty column group (vector-like right factor).  With
+    ``n = 0`` it is the outer product, and a full contraction is order 0.
 
     Parameters
     ----------
     a, b : Tensor
     n : int
-        Number of contracted axes, >= 1.
+        Number of contracted axes, >= 0.
 
     Returns
     -------
     Tensor
-        Extents ``a.extents[:-n] + b.extents[n:]``; the surviving axes of
-        ``a`` form the row group.
+        Extents ``a.extents[:a.order - n] + b.extents[n:]``; the surviving
+        axes of ``a`` form the row group.
     """
     m, extents = _contract(a._data, a.extents, a.split, b, n)
     return Tensor(m.reshape(extents), a.order - n)
@@ -37,10 +38,10 @@ def einstein_product(a: Tensor, b: Tensor, n: int) -> Tensor:
 def _contract(m: np.ndarray, extents, split: int, b: Tensor, n: int):
     """Contract entries ``m`` (of ``extents``, split at ``split``) with ``b`` over ``n`` axes.
 
-    Returns the product's matrix and extents, ``(1,)`` when no axis survives.
+    Returns the product's matrix and extents; ``n = 0`` is the outer product.
     """
-    if n < 1:
-        raise ShapeError(f"contraction needs n >= 1, got {n}")
+    if n < 0:
+        raise ShapeError(f"contraction needs n >= 0, got {n}")
     kept = len(extents) - n
     if kept < 0 or n > b.order:
         named = Tensor(m.reshape(extents), split)  # wrapped only to be named
@@ -48,7 +49,7 @@ def _contract(m: np.ndarray, extents, split: int, b: Tensor, n: int):
     if extents[kept:] != b.extents[:n]:
         raise ShapeError(f"contracted extents differ: {extents[kept:]} vs {b.extents[:n]}")
     k = prod(b.extents[:n])
-    return m.reshape(-1, k) @ b._data.reshape(k, -1), (extents[:kept] + b.extents[n:]) or (1,)
+    return m.reshape(-1, k) @ b._data.reshape(k, -1), extents[:kept] + b.extents[n:]
 
 
 def _product(*factors: Tensor) -> np.ndarray:
@@ -63,10 +64,11 @@ def _product(*factors: Tensor) -> np.ndarray:
 def chain(*factors: Tensor) -> Tensor:
     """Contracted product ``f1 f2 ... fk`` of the factors, left to right.
 
-    Each step contracts the whole column group of the product so far, so
-    ``chain(a, b)`` is ``einstein_product(a, b, n)`` with ``n`` the length of
-    ``a``'s column group.  Only the final product is built as a tensor, with
-    ``f1``'s row group.  A single factor is returned unchanged.
+    Each step contracts the whole column group of the product so far (an
+    empty one gives the outer product), so ``chain(a, b)`` is
+    ``einstein_product(a, b, n)`` with ``n`` the length of ``a``'s column
+    group.  Only the final product is built as a tensor, with ``f1``'s row
+    group.  A single factor is returned unchanged.
     """
     if len(factors) == 1:
         return factors[0]

@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are ``argument`` failures, not a usage block and an exit."""
 
     def error(self, message):
-        raise _CliError(2, "argument", message)
+        raise _CliError(2, "argument", message.removeprefix("argument "))
 
 
 #: Deepest nesting of arrays and objects read (about where the stdlib reader

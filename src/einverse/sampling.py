@@ -72,7 +72,7 @@ def random_tensor(extents, split: int, seed: int, complex_entries: bool = True) 
     Matches drawing each entry from :class:`SplitMix64` in turn, bit for bit.
     """
     extents = tuple(int(e) for e in extents)
-    n = int(np.prod(extents)) if extents else 1
+    n = int(np.prod(extents))
     draws = _u64_stream(seed, 2 * n if complex_entries else n)
     draws >>= np.uint64(11)
     entries = np.zeros(n, dtype=np.complex128)

@@ -113,8 +113,6 @@ class Tensor(_IndexGroups):
             # adopted without moving data
             buffer = arr.astype(np.complex128, copy=False).tobytes()
             arr = np.frombuffer(buffer, dtype=np.complex128).reshape(arr.shape)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"extents must all be >= 1, got {arr.shape}")
         if not 0 <= split <= arr.ndim:
@@ -195,8 +193,8 @@ class Tensor(_IndexGroups):
     __rmul__ = __mul__
 
     def __repr__(self):
-        row = "x".join(map(str, self.row_extents)) or "1"
-        col = "x".join(map(str, self.col_extents)) or "1"
+        row = "x".join(map(str, self.row_extents)) or "()"
+        col = "x".join(map(str, self.col_extents)) or "()"
         return f"Tensor({row} | {col})"
 
     def to_json_dict(self) -> dict:
@@ -216,15 +214,15 @@ class Tensor(_IndexGroups):
         """Inverse of :meth:`to_json_dict`; extra keys are ignored.
 
         Raises :class:`ShapeError` for a document that is not a tensor:
-        missing fields, fields of the wrong JSON type (``extents`` must be a
-        non-empty array of integers, ``split`` an integer, ``re``/``im``
-        arrays of numbers), invalid extents or split, a wrong entry count, or
+        missing fields, fields of the wrong JSON type (``extents`` must be an
+        array of integers, ``split`` an integer, ``re``/``im`` arrays of
+        numbers), invalid extents or split, a wrong entry count, or
         non-finite entries.
         """
         try:
             extents, split = doc["extents"], doc["split"]
-            if not (isinstance(extents, list) and extents and _all_of([*extents, split], int)):
-                raise TypeError("extents must be a non-empty array of integers, split an integer")
+            if not (isinstance(extents, list) and _all_of([*extents, split], int)):
+                raise TypeError("extents must be an array of integers, split an integer")
             shape = TensorShape(tuple(extents), split)
             keys = ("re", "im") if "im" in doc else ("re",)
             for k in keys:
@@ -291,12 +289,10 @@ def zeros_like(a: Tensor) -> Tensor:
 def unit_tensor(row_extents) -> Tensor:
     """Identity under contraction: 1 where both index groups agree, else 0.
 
-    The result has the row group repeated as its column group.  An empty
-    extent list is rejected.
+    The result has the row group repeated as its column group; an empty
+    extent list gives the order-0 tensor 1.
     """
     row_extents = tuple(int(e) for e in row_extents)
-    if not row_extents:
-        raise ShapeError("unit tensor needs at least one extent")
     n = prod(row_extents)
     if any(e < 1 for e in row_extents):
         raise ShapeError(f"extents must all be >= 1, got {row_extents}")

@@ -62,16 +62,32 @@ def nested_chain(*factors: Tensor) -> Tensor:
     return acc
 
 
-def test_full_contraction_keeps_one_extent():
+def test_full_contraction_is_order_zero():
     a = rt([], [2, 3], seed=44)
     b = rt([2, 3], [], seed=45)
     for t in (einstein_product(a, b, 2), chain(a, b)):
-        assert (t.extents, t.split) == ((1,), 0)
-        assert abs(t.data[0] - np.sum(a.data * b.data)) <= 1e-14
-    # a chain goes on from that one extent exactly as nested products do
-    c = rt([1], [2], seed=46)
+        assert (t.extents, t.split) == ((), 0)
+        assert abs(t.data[()] - np.sum(a.data * b.data)) <= 1e-14
+    # a chain goes on from the order-0 product exactly as nested products do
+    c = rt([], [1, 2], seed=46)
     got, nested = chain(a, b, c), nested_chain(a, b, c)
-    assert got.shape == nested.shape == TensorShape((2,), 0)
+    assert got.shape == nested.shape == TensorShape((1, 2), 0)
+    assert np.array_equal(got.data, nested.data)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        lambda: (rt([2], [], seed=47), rt([2], [3], seed=48)),
+        lambda: (rt([2], [3], seed=47), rt([3], [], seed=48), rt([2], [2], seed=49)),
+        lambda: (rt([], [3], seed=47), rt([3], [], seed=48), rt([], [2], seed=49)),
+    ],
+    ids=["nothing-to-contract", "empty-column-group-midway", "through-order-zero"],
+)
+def test_chain_agrees_with_nested_products_through_an_empty_column_group(factors):
+    fs = factors()
+    got, nested = chain(*fs), nested_chain(*fs)
+    assert got.shape == nested.shape
     assert np.array_equal(got.data, nested.data)
 
 
@@ -81,9 +97,8 @@ def test_full_contraction_keeps_one_extent():
         lambda: (rt([2], [3], seed=47), rt([4], [2], seed=48)),
         lambda: (rt([2], [3], seed=47), rt([3], [4, 5], seed=48), rt([4, 6], [2], seed=49)),
         lambda: (rt([2], [3], seed=47), rt([3], [4, 5], seed=48), rt([4], [], seed=49)),
-        lambda: (rt([2], [], seed=47), rt([2], [3], seed=48)),
     ],
-    ids=["first-step-differs", "later-step-differs", "too-few-axes", "nothing-to-contract"],
+    ids=["first-step-differs", "later-step-differs", "too-few-axes"],
 )
 def test_chain_raises_the_nested_products_messages(factors):
     fs = factors()
@@ -119,10 +134,14 @@ def test_contraction_shape_errors():
     b = rt([2], [2], seed=2)
     with pytest.raises(ShapeError):
         einstein_product(a, b, 1)
-    with pytest.raises(ShapeError):
-        einstein_product(a, b, 0)
+    with pytest.raises(ShapeError, match="n >= 0"):
+        einstein_product(a, b, -1)
     with pytest.raises(ShapeError):
         einstein_product(a, b, 3)
+    # no axes contracted is the outer product, never a shape error
+    outer = einstein_product(a, b, 0)
+    assert outer.shape == TensorShape((2, 3, 2, 2), 2)
+    assert np.abs(outer.as_matrix() - np.outer(a.data, b.data)).max() <= 1e-15
 
 
 def test_associativity():

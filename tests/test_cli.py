@@ -372,6 +372,18 @@ def test_argument_error_exit_code(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: argument: "), captured.err
 
 
+def test_usage_error_names_the_argument_once(capsys):
+    assert main(["info", "a.json", "--tol", "abc"]) == 2
+    assert capsys.readouterr().err == "error: argument: --tol: invalid float value: 'abc'\n"
+    assert main(["frobnicate", "a.json"]) == 2
+    line = capsys.readouterr().err
+    # argparse renders the choices with repr up to some versions and with str after
+    assert line in {
+        f"error: argument: verb: invalid choice: 'frobnicate' (choose from {choices})\n"
+        for choices in (", ".join(map(repr, cli._VERBS)), ", ".join(cli._VERBS))
+    }
+
+
 def usage_errors():
     """Argument lists the parser refuses: each verb with one usage slip, then bad verbs."""
     cases = []
@@ -768,12 +780,24 @@ def numpy_conditions(a, b, lam, tol=1e-10):
     return conditions, check(equal_to(g_b @ g_a), np.linalg.pinv(m_a @ m_b))
 
 
+def _example():
+    return random_tensor((2, 2, 3), split=2, seed=7)
+
+
+#: check-rol operands: the library example's operand with, as b, its conjugate transpose
+#: or a general tensor, and pairs with an empty index group.
+_ROL_OPERANDS = {
+    "conj_transpose": lambda: (_example(), conj_transpose(_example())),
+    "general": lambda: (_example(), random_tensor((3, 2), 1, seed=9)),
+    "empty-row-group": lambda: (random_tensor((3,), 0, seed=7), random_tensor((3, 2), 1, seed=9)),
+    "empty-column-group": lambda: (random_tensor((2, 3), 2, seed=7), random_tensor((2,), 0, seed=9)),
+}
+
+
 @pytest.mark.parametrize("lam", ["1", "1,3", "1,4", "mp"])
-@pytest.mark.parametrize("b_kind", ["conj_transpose", "general"])
+@pytest.mark.parametrize("b_kind", list(_ROL_OPERANDS))
 def test_check_rol_matches_plain_numpy(lam, b_kind, write_tensor, capsys):
-    # the library example's operand and, as b, its conjugate transpose or a general tensor
-    a = random_tensor((2, 2, 3), split=2, seed=7)
-    b = conj_transpose(a) if b_kind == "conj_transpose" else random_tensor((3, 2), 1, seed=9)
+    a, b = _ROL_OPERANDS[b_kind]()
     argv = ["check-rol", write_tensor("a.json", a), write_tensor("b.json", b), "--lambda", lam]
     code, doc = run_json(capsys, argv)
     assert code == 0
@@ -855,7 +879,7 @@ MALFORMED = st.one_of(
         {**_VALID, "re": ["1", 2.0, 3.0, 4.0]},
         {**_VALID, "re": [True, 2.0, 3.0, 4.0]},
         {**_VALID, "im": [0.0, "1", 0.0, 0.0]},
-        {"extents": [], "split": 0, "re": [1.0]},
+        {"extents": [], "split": 1, "re": [1.0]},  # an order-0 tensor has split 0
     ]).map(json.dumps),
 )
 
@@ -923,3 +947,117 @@ def test_reader_reads_the_stdlib_readers_bits(tmp_path):
     with open(path, encoding="utf-8") as fh:
         want = Tensor.from_json_dict(json.load(fh))
     assert cli._load_tensor(str(path)).data.tobytes() == want.data.tobytes()
+
+
+def flat_doc(row, col, kind, rng):
+    """A tensor file of index groups ``row`` and ``col``, built from its numpy flattening."""
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rows, cols = prod(row), prod(col)
+    m = {
+        "random": lambda: normal(rows, cols),
+        "zero": lambda: np.zeros((rows, cols), dtype=complex),
+        "rank-1": lambda: np.outer(normal(rows), normal(cols)),
+    }[kind]()
+    return {"extents": [*row, *col], "split": len(row), "re": m.real.ravel().tolist(),
+            "im": m.imag.ravel().tolist()}
+
+
+def flattening(doc):
+    """The row-group x column-group matrix of a tensor document, in plain numpy."""
+    entries = np.asarray(doc["re"], dtype=complex) + 1j * np.asarray(doc.get("im", 0.0))
+    k = doc["split"]
+    return entries.reshape(prod(doc["extents"][:k]), prod(doc["extents"][k:]))
+
+
+def numpy_penrose_residuals(a_doc, g_doc):
+    """The relative residuals of the four defining equations, on the flattenings."""
+    m, g = flattening(a_doc), flattening(g_doc)
+    mg, gm = m @ g, g @ m
+
+    def rel(p, q):
+        return np.linalg.norm(p - q) / (1.0 + np.linalg.norm(q))
+
+    return {1: rel(mg @ m, m), 2: rel(gm @ g, g), 3: rel(mg.conj().T, mg), 4: rel(gm.conj().T, gm)}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_KINDS = st.sampled_from(["random", "zero", "rank-1"])
+
+
+def index_groups(max_order):
+    """Legal index groups: orders 0 to ``max_order``, extents 1 to 3, every split."""
+    return st.integers(0, max_order).flatmap(lambda order: st.tuples(
+        st.lists(st.integers(1, 3), min_size=order, max_size=order), st.integers(0, order),
+    )).map(lambda es: (es[0][: es[1]], es[0][es[1] :]))
+
+
+_OPERATORS = st.builds(
+    lambda groups, kind, seed: flat_doc(*groups, kind, np.random.default_rng(seed)),
+    index_groups(4), _KINDS, st.integers(0, 2**16),
+)
+FOUND_FILE = {"extents": [3], "split": 1, "re": [1, 2, 3]}
+#: One parser for all the battery's calls: building it costs more than a call on small files.
+_PARSER = cli.build_parser()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_OPERATORS, other=index_groups(2), kind=_KINDS, seed=st.integers(0, 2**16),
+       table=st.integers(0, 14))
+@example(a=FOUND_FILE, other=([2], [3]), kind="random", seed=1, table=7)
+@example(a={**FOUND_FILE, "split": 0}, other=([], [2]), kind="rank-1", seed=2, table=8)
+@example(a={"extents": [], "split": 0, "re": [2.0]}, other=([], []), kind="random", seed=3, table=0)
+def test_every_legal_shape_runs_on_every_verb(tmp_path_factory, a, other, kind, seed, table):
+    """Every verb and kind on conformable files of any legal shape: no shape error.
+
+    ``a`` is the operator; the other operands combine its index groups with
+    ``other``'s.  Each argument list runs in JSON, and the ``table``-th one
+    also in the table format (all of them at twice the time).
+    """
+    rng = np.random.default_rng(seed)
+    row, col = a["extents"][: a["split"]], a["extents"][a["split"] :]
+    e, f = other
+    docs = {"a": a, "x": flat_doc(col, row, kind, rng)}
+    for name, groups in {"b": (e, f), "d": (row, f), "z": (col, e), "re": (row, e),
+                         "cf": (col, f)}.items():
+        docs[name] = flat_doc(*groups, kind, rng)
+    tmp = tmp_path_factory.mktemp("shapes")
+    path = {name: tmp / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        path[name].write_text(json.dumps(doc))
+        path[name] = str(path[name])
+    argvs = [
+        ["pinv", path["a"]], ["info", path["a"]], ["verify", path["a"], path["x"]],
+        ["solve", path["a"], path["b"], path["d"], "--z", path["z"]],
+        ["solve-ax", path["a"], path["d"], "--z", path["cf"]],
+        ["common", path["a"], path["re"], path["b"], path["cf"], "--z", path["z"]],
+        *(["ginv", path["a"], "--lambda", lam, "--seed", str(seed)] for lam in cli._GINV),
+        *(["check-rol", path["a"], path["cf"], "--lambda", lam] for lam in cli._ROL_KINDS),
+    ]
+    for i, argv in enumerate(argvs):
+        with mock.patch.object(cli, "build_parser", lambda: _PARSER):
+            code, text, err = run_main(argv)
+            rendered = run_main(argv + ["--format", "table"]) if i == table % len(argvs) else None
+        assert code in (0, 1), (argv, err)  # every file is conformable: 3 would be a shape error
+        if code:
+            assert text == "" and err.startswith("error: numeric: ") and err.count("\n") == 1
+            assert rendered in (None, (code, "", err))
+            continue
+        assert err == ""
+        out = json.loads(text)
+        assert text == reference_text(out), argv
+        assert rendered in (None, (0, "\n".join(cli._table_lines(out)) + "\n", "")), argv
+        if argv[0] in ("pinv", "ginv"):
+            flags = LambdaKind.parse(argv[3] if argv[0] == "ginv" else "mp").flags
+            assert (out["extents"], out["split"]) == (col + row, len(col)), argv
+            residuals = numpy_penrose_residuals(a, out)
+            assert all(out["report"]["satisfied"][i - 1] for i in flags), (argv, out["report"])
+            assert all(residuals[i] <= 1e-10 for i in flags), (argv, residuals)

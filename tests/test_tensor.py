@@ -61,6 +61,23 @@ def test_shape_validation():
         Tensor(np.zeros((2, 0)), 1)
 
 
+def test_a_scalar_is_the_order_zero_tensor():
+    t = Tensor(2.5, 0)
+    assert (t.extents, t.split, t.row_count, t.col_count) == ((), 0, 1, 1)
+    assert t.as_matrix().tolist() == [[2.5]]
+    with pytest.raises(ShapeError, match="split 1 out of range for order-0 tensor"):
+        Tensor(2.5, 1)
+
+
+@pytest.mark.parametrize(
+    "extents, split, text",
+    [((3,), 1, "Tensor(3 | ())"), ((3, 1), 1, "Tensor(3 | 1)"), ((2, 3), 0, "Tensor(() | 2x3)"),
+     ((), 0, "Tensor(() | ())")],
+)
+def test_repr_prints_an_empty_index_group_as_empty_parentheses(extents, split, text):
+    assert repr(zeros(extents, split)) == text
+
+
 def test_conj_transpose_identity():
     i = unit_tensor([2, 2])
     assert frobenius_distance(conj_transpose(i), i) == 0.0
@@ -116,9 +133,10 @@ def test_unit_tensor_small():
     assert u.data[0, 1, 1, 0] == 0.0
 
 
-def test_unit_tensor_empty_extents_rejected():
-    with pytest.raises(ShapeError):
-        unit_tensor([])
+def test_unit_tensor_of_no_extents_is_order_zero():
+    u = unit_tensor([])
+    assert (u.extents, u.split) == ((), 0)
+    assert u.data[()] == 1.0
 
 
 def test_unit_tensor_structural_predicates_at_tol_zero():
@@ -187,6 +205,13 @@ def test_json_round_trip_value_exact():
     assert back.split == t.split
 
 
+def test_json_round_trips_an_order_zero_tensor():
+    doc = {"extents": [], "split": 0, "re": [2.0]}
+    t = Tensor.from_json_dict(doc)
+    assert (t.extents, t.split, t.data[()]) == ((), 0, 2.0)
+    assert t.to_json_dict() == doc
+
+
 def test_json_omits_im_for_real_tensors():
     doc = MP_A.to_json_dict()
     assert "im" not in doc
@@ -220,7 +245,6 @@ def test_json_rejects_malformed_documents():
         {"extents": [2, 2], "split": 1, "re": [True, 2.0, 3.0, 4.0]},
         {"extents": [2, 2], "split": 1, "re": [[1.0, 2.0], [3.0, 4.0]]},
         {"extents": [2], "split": 1, "re": [1.0, 2.0], "im": [0.0, False]},
-        {"extents": [], "split": 0, "re": [1.0]},
     ):
         with pytest.raises(ShapeError, match="malformed tensor document"):
             Tensor.from_json_dict(doc)
