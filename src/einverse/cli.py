@@ -5,7 +5,7 @@ Tensor files are JSON documents ``{"extents": [...], "split": k,
 "re": [...], "im": [...]}`` in canonical entry order ("im" optional for real
 tensors); outputs reuse the same schema with extra report fields, so any
 produced tensor can be fed back in.  Exit codes: 0 success, 1 numeric
-failures, 2 argument errors, unreadable or malformed input files,
+and memory failures, 2 argument errors, unreadable or malformed input files,
 unwritable output files or stdout and precondition failures, 3 shape
 errors, 4 inconsistent system under --require-consistent.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -50,7 +51,7 @@ class _CliError(Exception):
 
 #: The exit code and category of each library failure (a ``_CliError`` carries its own).
 _LIBRARY_ERRORS = {ShapeError: (3, "shape"), PreconditionError: (2, "precondition"),
-                   NumericError: (1, "numeric")}
+                   NumericError: (1, "numeric"), MemoryError: (1, "memory")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,46 +103,28 @@ def _json_safe(value):
 
 #: Floats per write when a float run is streamed, so the largest write is bounded.
 _RUN_CHUNK = 1024
-_RUN = object()  # stands for a float run in a document's skeleton
 
 
-def _without_runs(value, runs: list, strings: list):
-    """``value`` with each finite float run (non-empty list of floats) replaced by ``_RUN``.
+def _run_text(head: str, run: np.ndarray):
+    """``head``, then ``run`` as the reference encoder writes its list after ``head``'s last line.
 
-    Appends the replaced runs, and every key and string value, to ``runs``
-    and ``strings`` in document order.
-    """
-    if isinstance(value, str):
-        strings.append(value)
-    elif type(value) is list and value and set(map(type, value)) == {float}:
-        if all(map(math.isfinite, value)):
-            runs.append(value)
-            return _RUN
-    if isinstance(value, dict):
-        strings.extend(map(str, value))
-        return {key: _without_runs(child, runs, strings) for key, child in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_without_runs(child, runs, strings) for child in value]
-    return value
-
-
-def _run_text(head: str, run: list):
-    """``head``, then ``run`` as ``json.dumps(indent=2)`` writes it after ``head``'s last line.
-
-    Chunks of ``_RUN_CHUNK`` floats go through one ``orjson.dumps`` each.  It
-    writes ``repr``'s digits, and ``repr``'s text for magnitudes in [1e-4,
-    1e16); every other float goes in as its ``repr`` string, whose quotes are
-    then dropped (a run holds no other strings).  The ``","`` separators become
-    the indented ones.
+    Each chunk of ``_RUN_CHUNK`` floats is one ``tolist()`` and one
+    ``orjson.dumps``.  orjson writes ``repr``'s digits, and ``repr``'s text
+    for magnitudes in [1e-4, 1e16); every other float goes in as its
+    ``repr`` string, whose quotes are then dropped (a run holds no other
+    strings).  The ``","`` separators become the indented ones.
     """
     line = head.rpartition("\n")[2]
     newline = "\n" + line[: len(line) - len(line.lstrip(" "))]  # at the indent of that line
     sep = "," + newline + "  "
     yield head + "[" + newline + "  "
-    for start in range(0, len(run), _RUN_CHUNK):
+    for start in range(0, run.size, _RUN_CHUNK):
         if start:
             yield sep
-        chunk = [x if 1e-4 <= abs(x) < 1e16 else repr(x) for x in run[start : start + _RUN_CHUNK]]
+        part = run[start : start + _RUN_CHUNK]
+        chunk, magnitude = part.tolist(), np.abs(part)
+        for i in np.flatnonzero((magnitude < 1e-4) | (magnitude >= 1e16)).tolist():
+            chunk[i] = repr(chunk[i])
         yield orjson.dumps(chunk).decode()[1:-1].replace('"', "").replace(",", sep)
     yield newline + "]"
 
@@ -149,24 +132,31 @@ def _run_text(head: str, run: list):
 def _json_text(doc: dict):
     """The text of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, piece by piece.
 
-    The reference encoder renders the document with each float run replaced
-    by a placeholder string, and each run is streamed, ``_RUN_CHUNK`` floats
-    at a time, in its placeholder's place; no string of the whole document is
-    built.  A non-finite float is left in place, so that rendering raises the
-    reference encoder's own ValueError before anything is returned.
+    Each run (a non-empty 1-D float numpy array) is written as its list.  The
+    reference encoder renders the document and meets the runs in order through
+    ``default``, which renders a placeholder string for each; each run is then
+    streamed, ``_RUN_CHUNK`` floats at a time, in its placeholder's place, so
+    no string of the whole document is built.  A run with a non-finite float
+    goes back as its list, so that rendering raises the reference encoder's own
+    ValueError before anything is returned.
     """
-    runs, strings = [], []
-    skeleton = _without_runs(doc, runs, strings)
-    placeholder = "run"  # in no key or string value, so its token marks only runs
-    while any(placeholder in s for s in strings):
-        placeholder += "~"
+    runs, placeholder = [], "run"
 
     def token(obj):  # any other object is refused, as by the reference encoder
-        return placeholder if obj is _RUN else json.JSONEncoder().default(obj)
+        if not isinstance(obj, np.ndarray):
+            return json.JSONEncoder().default(obj)
+        if not np.isfinite(obj).all():
+            return obj.tolist()
+        runs.append(obj)
+        return placeholder
 
-    text = json.dumps(skeleton, indent=2, allow_nan=False, default=token)
-    heads = text.split(json.dumps(placeholder))
-    return itertools.chain(*map(_run_text, heads, runs), [heads[-1] + "\n"])
+    while True:
+        runs.clear()
+        text = json.dumps(doc, indent=2, allow_nan=False, default=token)
+        heads = text.split(json.dumps(placeholder))
+        if len(heads) == len(runs) + 1:  # so no key or string value holds the token
+            return itertools.chain(*map(_run_text, heads, runs), [heads[-1] + "\n"])
+        placeholder += "~"
 
 
 def _emit(doc: dict, out: str | None, fmt: str):
@@ -178,17 +168,18 @@ def _emit(doc: dict, out: str | None, fmt: str):
     if fmt == "table":
         pieces = ["\n".join(_table_lines(doc)) + "\n"]
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
     except OSError as exc:
-        if not out:  # what stdout still buffers goes nowhere at exit, not to a second failure
+        if out is None:  # what stdout still buffers goes nowhere at exit, not to a second failure
             with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())  # no-op for a stdout without one
-        raise _CliError(2, "output", f"cannot write {out or 'stdout'}: {exc}") from exc
+        where = "stdout" if out is None else out
+        raise _CliError(2, "output", f"cannot write {where}: {exc}") from exc
 
 
 def _table_lines(doc, prefix=""):
@@ -204,14 +195,13 @@ def _table_lines(doc, prefix=""):
                     lines.append(prefix + "  -")
                 lines.extend(_table_lines(item, prefix + "  "))
         else:
-            lines.append(f"{prefix}{key}: {value}")
+            shown = value.tolist() if isinstance(value, np.ndarray) else value  # a run
+            lines.append(f"{prefix}{key}: {shown}")
     return lines
 
 
 def _tensor_doc(t: Tensor, **extra) -> dict:
-    doc = t.to_json_dict()
-    doc.update(extra)
-    return doc
+    return {**t._entry_doc(), **extra}
 
 
 def _cmd_pinv(args):
@@ -281,10 +271,10 @@ def _cmd_solve(args):
     doc = {
         "consistent": outcome.consistent,
         "residual": outcome.residual,
-        "particular": outcome.particular.to_json_dict(),
+        "particular": outcome.particular._entry_doc(),
     }
     if args.z:
-        doc["generated_solution"] = outcome.generator(_load_tensor(args.z)).to_json_dict()
+        doc["generated_solution"] = outcome.generator(_load_tensor(args.z))._entry_doc()
     _emit(doc, args.out, args.format)
     if args.require_consistent and not outcome.consistent:
         raise _CliError(4, "inconsistent", f"residual {outcome.residual:.6e} exceeds tolerance")
@@ -309,7 +299,7 @@ def _cmd_check_rol(args):
         "candidate_is_inverse": diag.candidate_is_inverse,
         "verdict": "candidate passes" if diag.candidate_is_inverse else "candidate fails",
         "report": diag.candidate_report.to_json_dict(),
-        "candidate": diag.candidate.to_json_dict(),
+        "candidate": diag.candidate._entry_doc(),
     }
     if diag.mp_distance is not None:
         doc["mp_distance"] = diag.mp_distance
@@ -368,6 +358,7 @@ _VERBS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="einverse",

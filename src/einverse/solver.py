@@ -63,9 +63,9 @@ class SolveOutcome:
     """
 
     consistent: bool
-    particular: Tensor | None
+    particular: Tensor
     residual: float
-    generator: Callable[[Tensor], Tensor] | None
+    generator: Callable[[Tensor], Tensor]
 
 
 def solve_axb(

@@ -197,16 +197,19 @@ class Tensor(_IndexGroups):
         col = "x".join(map(str, self.col_extents)) or "()"
         return f"Tensor({row} | {col})"
 
+    def _entry_doc(self) -> dict:
+        """:meth:`to_json_dict`'s schema with ``re`` and ``im`` as float views of the entries."""
+        flat = self._data.reshape(-1)
+        doc = {"extents": list(self.extents), "split": self._split, "re": flat.real}
+        if np.any(flat.imag != 0.0):
+            doc["im"] = flat.imag
+        return doc
+
     def to_json_dict(self) -> dict:
         """Serializable dict: extents, split, re and (if any nonzero) im."""
-        doc = {
-            "extents": list(self.extents),
-            "split": self._split,
-            "re": self._data.real.ravel().tolist(),
-        }
-        im = self._data.imag.ravel()
-        if np.any(im != 0.0):
-            doc["im"] = im.tolist()
+        doc = self._entry_doc()
+        for key in doc.keys() & {"re", "im"}:
+            doc[key] = doc[key].tolist()
         return doc
 
     @classmethod

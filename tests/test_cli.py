@@ -561,6 +561,36 @@ def test_numeric_failure_prints_one_stderr_line(tensor, write_tensor):
     assert len(lines) == 1 and lines[0].startswith("error: numeric: "), done.stderr
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_memory_failure_is_one_memory_line(fmt, write_tensor):
+    failure = MemoryError("Unable to allocate 23.8 GiB for an array")
+    with mock.patch.object(cli, "penrose_check", side_effect=failure):
+        code, out, err = run_main(["pinv", write_tensor("a.json", MP_A), "--format", fmt])
+    assert (code, out, err) == (1, "", f"error: memory: {failure}\n")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no address-space limit")
+@pytest.mark.parametrize("argv", [["pinv"], ["ginv", "--lambda", "1,3"]], ids=["pinv", "ginv"])
+def test_memory_failure_in_a_limited_process_is_one_memory_line(argv, tmp_path):
+    import resource
+
+    # grading this 1 x 40000 operator forms a 40000 x 40000 complex product (24 GiB), so
+    # the file only ever runs in a child whose address space is limited to 2 GiB
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"extents": [1, 40000], "split": 1, "re": [1.0] * 40000}))
+    limit = 2 * 1024**3
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(einverse.__file__)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "einverse.cli", argv[0], str(path), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: memory: "), done.stderr
+
+
 def cli_process(argv, unbuffered, **kwargs):
     """Start the CLI in a child process, with stdout unbuffered or not."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(einverse.__file__))}
@@ -611,9 +641,23 @@ def test_failing_in_memory_stdout_is_one_output_line(write_tensor, monkeypatch, 
     )
 
 
+def as_lists(value):
+    """``value`` with every numpy array in it replaced by its list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(child) for key, child in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(child) for child in value]
+    return value
+
+
 def reference_text(doc):
-    """What the JSON writer must produce: the pure-Python indenting encoder's bytes."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """What the JSON writer must produce: the pure-Python indenting encoder's bytes.
+
+    Arrays are rendered as their lists.
+    """
+    return json.dumps(as_lists(doc), indent=2, allow_nan=False) + "\n"
 
 
 def test_every_verb_writes_the_reference_encoder_bytes(write_tensor, tmp_path, capsys):
@@ -626,9 +670,10 @@ def test_every_verb_writes_the_reference_encoder_bytes(write_tensor, tmp_path, c
         assert out.read_text(encoding="utf-8") == text, argv
 
 
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_is_an_output_error(target, write_tensor, tmp_path, capsys):
-    out = tmp_path / "none" / "out.json" if target == "missing-directory" else tmp_path
+    out = {"missing-directory": tmp_path / "none" / "out.json", "directory": tmp_path,
+           "empty": ""}[target]
     for argv in every_verb(write_tensor):
         for fmt in ("json", "table"):
             code = main(argv + ["--out", str(out), "--format", fmt])
@@ -651,9 +696,11 @@ _TEXT = st.one_of(
     st.text(max_size=4),
     st.lists(st.sampled_from(["\x00", "run", "~", '"', "\\", "\n", " "]), max_size=4).map("".join),
 )
+# runs as the CLI holds them: float views of complex entries
+_RUNS = st.lists(_FLOATS, min_size=1, max_size=9).map(lambda v: np.array(v, dtype=complex).real)
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), _TEXT, _FLOATS,
-              st.lists(_FLOATS, max_size=9)),
+              st.lists(_FLOATS, max_size=9), _RUNS),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)
     ),
@@ -663,8 +710,9 @@ _JSON = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(doc=_JSON, chunk=st.integers(1, 4))
-@example(doc={'"run': [0.5, 1.0], "run": ["run~", 'x"run~'], "\x00": [[2.5]]}, chunk=1)
-@example(doc=[1.5, -0.0], chunk=1)
+@example(doc={'"run': np.array([0.5, 1.0]), "run": ["run~", 'x"run~'], "\x00": [np.array([2.5])]},
+         chunk=1)
+@example(doc=np.array([1.5, -0.0]), chunk=1)
 def test_json_writer_matches_the_reference_encoder(doc, chunk):
     with mock.patch.object(cli, "_RUN_CHUNK", chunk):
         assert "".join(cli._json_text(doc)) == reference_text(doc)
@@ -675,15 +723,15 @@ def test_json_writer_matches_the_reference_encoder_across_magnitudes():
     rng = np.random.default_rng(15)
     run = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-320, 300, 3000)
     run[::97], run[50::89] = -0.0, 5e-324
-    doc = {"re": run.tolist()}
+    doc = {"re": run}
     assert "".join(cli._json_text(doc)) == reference_text(doc)
 
 
 def test_json_writer_refuses_what_the_reference_encoder_refuses():
-    doc = {"re": [0.5], "x": ("run", [1.5]), 1: {"re": [2.5]}}
+    doc = {"re": np.array([0.5]), "x": ("run", np.array([1.5])), 1: {"re": np.array([2.5])}}
     assert "".join(cli._json_text(doc)) == reference_text(doc)
     with pytest.raises(TypeError, match="not JSON serializable"):
-        cli._json_text({"re": [0.5], "flag": np.bool_(True)})
+        cli._json_text({"re": np.array([0.5]), "flag": np.bool_(True)})
 
 
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
@@ -697,7 +745,7 @@ _NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
     to_file=st.booleans(),
 )
 def test_non_finite_value_anywhere_writes_nothing(tmp_path_factory, bad, where, position, to_file):
-    run = [0.25] * (2 * 1024 + 2)
+    run = np.full(2 * 1024 + 2, 0.25)
     doc = {"particular": {"extents": [len(run)], "split": 0, "re": run}, "residual": 0.5}
     if where == "run":
         run[position] = bad
@@ -1005,8 +1053,6 @@ _OPERATORS = st.builds(
     index_groups(4), _KINDS, st.integers(0, 2**16),
 )
 FOUND_FILE = {"extents": [3], "split": 1, "re": [1, 2, 3]}
-#: One parser for all the battery's calls: building it costs more than a call on small files.
-_PARSER = cli.build_parser()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1043,9 +1089,8 @@ def test_every_legal_shape_runs_on_every_verb(tmp_path_factory, a, other, kind, 
         *(["check-rol", path["a"], path["cf"], "--lambda", lam] for lam in cli._ROL_KINDS),
     ]
     for i, argv in enumerate(argvs):
-        with mock.patch.object(cli, "build_parser", lambda: _PARSER):
-            code, text, err = run_main(argv)
-            rendered = run_main(argv + ["--format", "table"]) if i == table % len(argvs) else None
+        code, text, err = run_main(argv)
+        rendered = run_main(argv + ["--format", "table"]) if i == table % len(argvs) else None
         assert code in (0, 1), (argv, err)  # every file is conformable: 3 would be a shape error
         if code:
             assert text == "" and err.startswith("error: numeric: ") and err.count("\n") == 1
