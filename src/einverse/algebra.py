@@ -93,9 +93,8 @@ def kronecker(a: Tensor, b: Tensor) -> Tensor:
 def vec(a: Tensor) -> Tensor:
     """Line up the row-group subblocks of ``a`` in a column.
 
-    A metadata-only reshape: the result has extents ``(a.row_count,) +
-    a.col_extents`` with an empty column group, and shares ``a``'s entry
-    order.
+    The result has extents ``(a.row_count,) + a.col_extents`` with an empty
+    column group, and keeps ``a``'s entry order.
     """
     extents = (a.row_count,) + a.col_extents
     return Tensor(a.data.reshape(extents), len(extents))

@@ -95,29 +95,19 @@ def _load_tensor(path: str) -> Tensor:
         raise _CliError(2, "input", f"{path}: {exc}") from exc
 
 
-def _json_safe(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
-
-
 #: Floats per write when a float run is streamed, so the largest write is bounded.
 _RUN_CHUNK = 1024
 
 
-def _run_text(head: str, run: np.ndarray):
-    """``head``, then ``run`` as the reference encoder writes its list after ``head``'s last line.
+def _float_text(run: np.ndarray, sep: str):
+    """The floats of ``run`` as ``repr`` writes them, joined by ``sep``, chunk by chunk.
 
     Each chunk of ``_RUN_CHUNK`` floats is one ``tolist()`` and one
     ``orjson.dumps``.  orjson writes ``repr``'s digits, and ``repr``'s text
     for magnitudes in [1e-4, 1e16); every other float goes in as its
     ``repr`` string, whose quotes are then dropped (a run holds no other
-    strings).  The ``","`` separators become the indented ones.
+    strings).  The ``","`` separators become ``sep``.
     """
-    line = head.rpartition("\n")[2]
-    newline = "\n" + line[: len(line) - len(line.lstrip(" "))]  # at the indent of that line
-    sep = "," + newline + "  "
-    yield head + "[" + newline + "  "
     for start in range(0, run.size, _RUN_CHUNK):
         if start:
             yield sep
@@ -126,6 +116,14 @@ def _run_text(head: str, run: np.ndarray):
         for i in np.flatnonzero((magnitude < 1e-4) | (magnitude >= 1e16)).tolist():
             chunk[i] = repr(chunk[i])
         yield orjson.dumps(chunk).decode()[1:-1].replace('"', "").replace(",", sep)
+
+
+def _run_text(head: str, run: np.ndarray):
+    """``head``, then ``run`` as the reference encoder writes it after ``head``'s last line."""
+    line = head.rpartition("\n")[2]
+    newline = "\n" + line[: len(line) - len(line.lstrip(" "))]  # at the indent of that line
+    yield head + "[" + newline + "  "
+    yield from _float_text(run, "," + newline + "  ")
     yield newline + "]"
 
 
@@ -166,7 +164,7 @@ def _emit(doc: dict, out: str | None, fmt: str):
         # strict JSON has no NaN or Infinity; a non-finite result is a failure in either format
         raise NumericError(f"non-finite value in output: {exc}") from exc
     if fmt == "table":
-        pieces = ["\n".join(_table_lines(doc)) + "\n"]
+        pieces = _table_text(doc)
     try:
         if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
@@ -182,33 +180,29 @@ def _emit(doc: dict, out: str | None, fmt: str):
         raise _CliError(2, "output", f"cannot write {where}: {exc}") from exc
 
 
-def _table_lines(doc, prefix=""):
-    lines = []
+def _table_text(doc, prefix=""):
+    """``doc`` as ``key: value`` lines, piece by piece; each run as its list, chunk by chunk."""
     for key, value in doc.items():
-        if isinstance(value, dict):
-            lines.append(f"{prefix}{key}:")
-            lines.extend(_table_lines(value, prefix + "  "))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{prefix}{key}:")
-            for i, item in enumerate(value):
+        nested = [value] if isinstance(value, dict) else value
+        if isinstance(nested, list) and nested and isinstance(nested[0], dict):
+            yield f"{prefix}{key}:\n"
+            for i, item in enumerate(nested):
                 if i:
-                    lines.append(prefix + "  -")
-                lines.extend(_table_lines(item, prefix + "  "))
+                    yield prefix + "  -\n"
+                yield from _table_text(item, prefix + "  ")
+        elif isinstance(value, np.ndarray):
+            yield f"{prefix}{key}: ["
+            yield from _float_text(value, ", ")
+            yield "]\n"
         else:
-            shown = value.tolist() if isinstance(value, np.ndarray) else value  # a run
-            lines.append(f"{prefix}{key}: {shown}")
-    return lines
-
-
-def _tensor_doc(t: Tensor, **extra) -> dict:
-    return {**t._entry_doc(), **extra}
+            yield f"{prefix}{key}: {value}\n"
 
 
 def _cmd_pinv(args):
     a = _load_tensor(args.tensor)
     x = pinv(a)
     report = penrose_check(a, x, args.tol)
-    _emit(_tensor_doc(x, report=report.to_json_dict()), args.out, args.format)
+    _emit({**x._entry_doc(), "report": report.to_json_dict()}, args.out, args.format)
 
 
 def _free(a: Tensor, seed: int) -> Tensor:
@@ -233,10 +227,8 @@ def _cmd_ginv(args):
     a = _load_tensor(args.tensor)
     g = _GINV[str(kind)](a, args.seed)
     report = penrose_check(a, g, args.tol)
-    doc = _tensor_doc(
-        g,
-        **{"lambda": sorted(kind.flags), "seed": args.seed, "report": report.to_json_dict()},
-    )
+    doc = {**g._entry_doc(), "lambda": sorted(kind.flags), "seed": args.seed,
+           "report": report.to_json_dict()}
     _emit(doc, args.out, args.format)
 
 
@@ -290,7 +282,8 @@ def _cmd_check_rol(args):
     doc = {
         "lambda": sorted(kind.flags),
         "conditions": [
-            {"name": c.name, "residual": _json_safe(c.residual), "holds": c.holds}
+            {"name": c.name, "residual": None if math.isnan(c.residual) else c.residual,
+             "holds": c.holds}
             for c in diag.conditions
         ],
         "sufficient_condition_holds": diag.sufficient_condition_holds,

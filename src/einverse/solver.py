@@ -68,6 +68,16 @@ class SolveOutcome:
     generator: Callable[[Tensor], Tensor]
 
 
+def _outcome(x0: Tensor, residual: float, tol: float, member) -> SolveOutcome:
+    """The outcome whose generator maps a free tensor ``z`` of ``x0``'s shape to ``member(z)``."""
+
+    def generator(z: Tensor) -> Tensor:
+        _require_free_shape(z, x0.shape)
+        return Tensor(member(z), x0.split)
+
+    return SolveOutcome(residual <= tol, x0, residual, generator)
+
+
 def solve_axb(
     a: Tensor,
     b: Tensor,
@@ -98,13 +108,9 @@ def solve_axb(
     # the projectors are built on the generator's first call, not before
     left = functools.cache(functools.partial(_left_projector, a, g_a))
     right = functools.cache(functools.partial(_right_projector, b, g_b))
-    x_shape = x0.shape
-
-    def generator(z: Tensor) -> Tensor:
-        _require_free_shape(z, x_shape)
-        return Tensor(x0._data + z._data - _product(left(), z, right()), x0.split)
-
-    return SolveOutcome(residual <= tol, x0, residual, generator)
+    return _outcome(
+        x0, residual, tol, lambda z: x0._data + z._data - _product(left(), z, right())
+    )
 
 
 def solve_ax(
@@ -123,13 +129,7 @@ def solve_ax(
     x0 = chain(pinv(a) if g is None else g, b)
     residual = _relative_residual(_product(a, x0), b._data)
     proj = functools.cache(lambda: unit_tensor(a.col_extents) - _left_projector(a, g))
-    x_shape = x0.shape
-
-    def generator(y: Tensor) -> Tensor:
-        _require_free_shape(y, x_shape)
-        return Tensor(x0._data + _product(proj(), y), x0.split)
-
-    return SolveOutcome(residual <= tol, x0, residual, generator)
+    return _outcome(x0, residual, tol, lambda y: x0._data + _product(proj(), y))
 
 
 def common_solution(
@@ -159,13 +159,9 @@ def common_solution(
     free_right = functools.cache(
         lambda: unit_tensor(d.row_extents) - _right_projector(d, None)
     )
-    x_shape = x0.shape
-
-    def generator(z: Tensor) -> Tensor:
-        _require_free_shape(z, x_shape)
-        return Tensor(x0._data + _product(free_left(), z, free_right()), x0.split)
-
-    return SolveOutcome(residual <= tol, x0, residual, generator)
+    return _outcome(
+        x0, residual, tol, lambda z: x0._data + _product(free_left(), z, free_right())
+    )
 
 
 def verify_unique_triple(

@@ -4,8 +4,8 @@ An even-order tensor of shape ``I_1 x ... x I_N x J_1 x ... x J_M`` is stored
 as a C-ordered :class:`numpy.ndarray` together with the split position ``N``.
 The first ``N`` axes form the row group, the rest the column group.  C order
 coincides with the canonical linearization (last index fastest, one-based
-indices shifted down by one), so flattening to a matrix and Vec never move
-data.
+indices shifted down by one), so flattening to a matrix and Vec never
+reorder entries.
 """
 
 from __future__ import annotations
@@ -78,17 +78,6 @@ class TensorShape(_IndexGroups):
         return TensorShape(self.col_extents + self.row_extents, self.order - self.split)
 
 
-def _immutable(arr: np.ndarray) -> bool:
-    """True when ``arr``'s ultimate owner is a ``bytes`` buffer, which nothing can change.
-
-    numpy refuses to make an array over such a buffer writable; any other
-    owner, a read-only array for one, can be made writable again.
-    """
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    return type(arr) is bytes
-
-
 def _all_of(values: list, types: tuple) -> bool:
     """True when every entry is of ``types``; JSON booleans (Python ``bool``) never are."""
     return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
@@ -106,13 +95,9 @@ class Tensor(_IndexGroups):
 
     def __init__(self, data, split: int):
         arr = np.asarray(data)
-        if not (
-            arr.dtype == np.complex128 and arr.flags["C_CONTIGUOUS"] and _immutable(arr)
-        ):
-            # own an immutable copy; canonical views of other tensors are
-            # adopted without moving data
-            buffer = arr.astype(np.complex128, copy=False).tobytes()
-            arr = np.frombuffer(buffer, dtype=np.complex128).reshape(arr.shape)
+        # own an immutable copy: numpy refuses to make an array over bytes writable
+        buffer = arr.astype(np.complex128, copy=False).tobytes()
+        arr = np.frombuffer(buffer, dtype=np.complex128).reshape(arr.shape)
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"extents must all be >= 1, got {arr.shape}")
         if not 0 <= split <= arr.ndim:

@@ -724,7 +724,10 @@ def test_json_writer_matches_the_reference_encoder_across_magnitudes():
     run = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-320, 300, 3000)
     run[::97], run[50::89] = -0.0, 5e-324
     doc = {"re": run}
-    assert "".join(cli._json_text(doc)) == reference_text(doc)
+    for chunk in (7, cli._RUN_CHUNK):  # chunk boundaries inside the run, in both formats
+        with mock.patch.object(cli, "_RUN_CHUNK", chunk):
+            assert "".join(cli._json_text(doc)) == reference_text(doc)
+            assert "".join(cli._table_text(doc)) == f"re: {run.tolist()}\n"
 
 
 def test_json_writer_refuses_what_the_reference_encoder_refuses():
@@ -776,16 +779,20 @@ class _RecordingStdout(io.StringIO):
         return super().write(text)
 
 
-def test_large_output_is_written_in_bounded_pieces(write_tensor, monkeypatch):
+# a float repr has at most 24 characters; in JSON each is followed by ",\n" and a
+# 4-space indent, in a table by ", "
+@pytest.mark.parametrize("fmt, width", [("json", 24 + 2 + 4), ("table", 24 + 2)],
+                         ids=["json", "table"])
+def test_large_output_is_written_in_bounded_pieces(fmt, width, write_tensor, monkeypatch):
     a = random_tensor((16, 16, 16, 16), split=2, seed=11)  # 65,536 entries, 131,072 floats
     path = write_tensor("a.json", a)
     stdout = _RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["pinv", path]) == 0
+    assert main(["pinv", path, "--format", fmt]) == 0
     text = stdout.getvalue()
-    assert text == reference_text(json.loads(text))
-    # a float repr has at most 24 characters; each is followed by ",\n" and a 4-space indent
-    bound = cli._RUN_CHUNK * (24 + 2 + 4)
+    if fmt == "json":
+        assert text == reference_text(json.loads(text))
+    bound = cli._RUN_CHUNK * width
     assert max(stdout.sizes) <= bound < len(text) // 50
 
 
@@ -1099,7 +1106,7 @@ def test_every_legal_shape_runs_on_every_verb(tmp_path_factory, a, other, kind, 
         assert err == ""
         out = json.loads(text)
         assert text == reference_text(out), argv
-        assert rendered in (None, (0, "\n".join(cli._table_lines(out)) + "\n", "")), argv
+        assert rendered in (None, (0, "".join(cli._table_text(out)), "")), argv
         if argv[0] in ("pinv", "ginv"):
             flags = LambdaKind.parse(argv[3] if argv[0] == "ginv" else "mp").flags
             assert (out["extents"], out["split"]) == (col + row, len(col)), argv

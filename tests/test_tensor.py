@@ -22,6 +22,8 @@ from einverse import (
     solve_axb,
     transpose,
     unit_tensor,
+    unvec,
+    vec,
     zeros,
 )
 from conftest import rt
@@ -278,8 +280,11 @@ SYMMETRIC = [[2.0, 1.0], [1.0, 3.0]]
             unit_tensor([2]), unit_tensor([2]), Tensor(np.array(SYMMETRIC), 1),
             g_a=unit_tensor([2]), g_b=unit_tensor([2]),
         ).generator(zeros((2, 2), 1)),
+        lambda: vec(Tensor(np.array(SYMMETRIC), 1)),
+        lambda: unvec(vec(Tensor(np.array(SYMMETRIC), 1)), TensorShape((2, 2), 1)),
+        lambda: Tensor(Tensor(np.array(SYMMETRIC), 1).as_matrix(), 1),
     ],
-    ids=["array", "product", "json", "chain", "sum", "generator"],
+    ids=["array", "product", "json", "chain", "sum", "generator", "vec", "unvec", "view"],
 )
 def test_data_cannot_be_made_writable(build):
     t = build()
@@ -317,6 +322,9 @@ def test_read_only_view_of_writable_array_is_copied():
     assert t.data[0, 0] == 0
 
 
-def test_views_of_tensors_are_adopted_without_copy():
+def test_views_of_tensors_are_copied():
     t = rt([2, 3], [2, 2], seed=12)
-    assert np.shares_memory(Tensor(t.as_matrix(), 1).data, t.data)
+    v = vec(t)  # split at the end, so its transpose permutes no axis
+    for built, source in ((Tensor(t.as_matrix(), 1), t), (v, t), (unvec(v, t.shape), v),
+                          (transpose(v), v)):
+        assert not np.shares_memory(built.data, source.data)
