@@ -149,6 +149,20 @@ def _is_kept_pinv(a: Tensor, g: Tensor) -> bool:
     return g is a._memo.get("pinv")
 
 
+def _left_projector(a: Tensor, g: Tensor | None) -> Tensor:
+    """``g a``; for ``g`` the default or kept ``pinv(a)`` it is kept on ``a``."""
+    if g is None or _is_kept_pinv(a, g):
+        return a.memoized("pinv a", lambda a: chain(pinv(a), a))
+    return chain(g, a)
+
+
+def _right_projector(b: Tensor, g: Tensor | None) -> Tensor:
+    """``b g``; for ``g`` the default or kept ``pinv(b)`` it is kept on ``b``."""
+    if g is None or _is_kept_pinv(b, g):
+        return b.memoized("b pinv", lambda b: chain(b, pinv(b)))
+    return chain(b, g)
+
+
 def _require_lambda_inverse(a: Tensor, g: Tensor, flags, tol: float, who: str):
     if _is_kept_pinv(a, g):
         return
@@ -169,7 +183,7 @@ def one_inverse_family(a: Tensor, g1: Tensor, y: Tensor, tol: float = DEFAULT_TO
     """
     _require_lambda_inverse(a, g1, (1,), tol, "g1")
     _require_free_shape(y, g1)
-    return g1 + y - chain(g1, a, y, a, g1)
+    return g1 + y - chain(_left_projector(a, g1), y, a, g1)
 
 
 def reflexive_from_two(a: Tensor, y: Tensor, z: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
@@ -183,7 +197,7 @@ def one_three_family(a: Tensor, g13: Tensor, y: Tensor, tol: float = DEFAULT_TOL
     """Member ``g13 + (I - g13 a) y`` of the {1,3}-inverse class of ``a``."""
     _require_lambda_inverse(a, g13, (1, 3), tol, "g13")
     _require_free_shape(y, g13)
-    proj = unit_tensor(a.col_extents) - chain(g13, a)
+    proj = unit_tensor(a.col_extents) - _left_projector(a, g13)
     return g13 + chain(proj, y)
 
 
@@ -191,7 +205,7 @@ def one_four_family(a: Tensor, g14: Tensor, y: Tensor, tol: float = DEFAULT_TOL)
     """Member ``g14 + y (I - a g14)`` of the {1,4}-inverse class of ``a``."""
     _require_lambda_inverse(a, g14, (1, 4), tol, "g14")
     _require_free_shape(y, g14)
-    proj = unit_tensor(a.row_extents) - chain(a, g14)
+    proj = unit_tensor(a.row_extents) - _right_projector(a, g14)
     return g14 + chain(y, proj)
 
 
@@ -307,7 +321,8 @@ def reverse_order_diagnose(
     (hermitian conditions; for ``{1,4}`` both operand orders are reported
     since published statements disagree), and the full Moore-Penrose set
     (four sufficient conditions, no converse claim).  ``ga``/``gb`` default
-    to the kept Moore-Penrose inverses, which lie in every class ungraded.
+    to the kept Moore-Penrose inverses (``pinv(a)*`` for ``b`` exactly
+    ``a*``), which lie in every class ungraded.
     """
     if a.col_extents != b.row_extents:
         raise ShapeError(f"cannot multiply {a!r} by {b!r}")
@@ -335,7 +350,7 @@ def reverse_order_diagnose(
     if ga is None:
         ga = pinv(a)
     if gb is None:
-        gb = pinv(b)
+        gb = _pinv_sharing(b, a)
     for name, g, t in (("ga", ga, a), ("gb", gb, b)):
         if g.shape != t.shape.swapped():
             raise ShapeError(f"{name} {g!r} does not match {t!r} with groups swapped")

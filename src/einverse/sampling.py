@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, TensorShape
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,7 +71,7 @@ def random_tensor(extents, split: int, seed: int, complex_entries: bool = True) 
 
     Matches drawing each entry from :class:`SplitMix64` in turn, bit for bit.
     """
-    extents = tuple(int(e) for e in extents)
+    extents = TensorShape(extents, split).extents
     n = int(np.prod(extents))
     draws = _u64_stream(seed, 2 * n if complex_entries else n)
     draws >>= np.uint64(11)

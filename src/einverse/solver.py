@@ -22,7 +22,7 @@ from typing import Callable
 
 from .algebra import _product, chain
 from .errors import PreconditionError, ShapeError
-from .inverses import _pinv_sharing, pinv
+from .inverses import _left_projector, _pinv_sharing, _right_projector, pinv
 from .tensor import (
     Tensor,
     _relative_residual,
@@ -36,20 +36,6 @@ from .tensor import (
 #: Looser than the verification default because two pseudoinverse
 #: applications compound rounding error.
 SOLVE_TOL = 1e-8
-
-
-def _left_projector(a: Tensor, g: Tensor | None) -> Tensor:
-    """``g a``; for the default ``g = pinv(a)`` it is kept on ``a``."""
-    if g is None:
-        return a.memoized("pinv a", lambda a: chain(pinv(a), a))
-    return chain(g, a)
-
-
-def _right_projector(b: Tensor, g: Tensor | None) -> Tensor:
-    """``b g``; for the default ``g = pinv(b)`` it is kept on ``b``."""
-    if g is None:
-        return b.memoized("b pinv", lambda b: chain(b, pinv(b)))
-    return chain(b, g)
 
 
 @dataclass(frozen=True)

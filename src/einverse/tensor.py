@@ -124,10 +124,10 @@ class Tensor(_IndexGroups):
     def from_flat(cls, extents, split: int, entries) -> Tensor:
         """Build a tensor from entries listed in canonical order.
 
-        Raises :class:`ShapeError` when the entry count does not match the
-        product of the extents.
+        Raises :class:`ShapeError` for extents or a split that :class:`TensorShape`
+        refuses, and when the entry count does not match the product of the extents.
         """
-        extents = tuple(int(e) for e in extents)
+        extents = TensorShape(extents, split).extents
         arr = np.asarray(entries, dtype=np.complex128).ravel()
         if arr.size != prod(extents):
             raise ShapeError(
@@ -266,7 +266,7 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def zeros(extents, split: int) -> Tensor:
-    extents = tuple(int(e) for e in extents)
+    extents = TensorShape(extents, split).extents
     return Tensor(np.zeros(extents, dtype=np.complex128), split)
 
 
@@ -280,10 +280,8 @@ def unit_tensor(row_extents) -> Tensor:
     The result has the row group repeated as its column group; an empty
     extent list gives the order-0 tensor 1.
     """
-    row_extents = tuple(int(e) for e in row_extents)
+    row_extents = TensorShape(row_extents, 0).extents
     n = prod(row_extents)
-    if any(e < 1 for e in row_extents):
-        raise ShapeError(f"extents must all be >= 1, got {row_extents}")
     return Tensor(np.eye(n, dtype=np.complex128).reshape(row_extents * 2), len(row_extents))
 
 

@@ -20,6 +20,8 @@ from einverse import (
     chain,
     common_solution,
     conj_transpose,
+    frobenius_distance,
+    frobenius_norm,
     penrose_check,
     random_tensor,
     reverse_order_diagnose,
@@ -27,7 +29,7 @@ from einverse import (
     solve_axb,
     unit_tensor,
 )
-from einverse import cli
+from einverse import algebra, cli
 from einverse.cli import main
 from conftest import conditioned, rank_deficient, rt
 from golden_data import MP_A, MP_A_PINV, MP_B, ROL14_A, ROL14_B, ROL14_X, ROL14_Y
@@ -253,6 +255,14 @@ def test_ginv_grades_once_and_draws_only_the_free_tensors_it_uses(lam, draws, wr
     capsys.readouterr()
     assert in_lib.call_count + in_cli.call_count == 1
     assert [c.args[2] for c in sample.call_args_list] == [5, 6][:draws]
+
+
+def test_reflexive_ginv_forms_the_projector_once():
+    a = rt([2, 2], [3], seed=35)
+    with mock.patch("einverse.algebra._contract", wraps=algebra._contract) as steps:
+        cli._GINV["1,2"](a, 5)
+    # pinv(a) a once, kept on a; three more steps for each {1}-member, two for y a z
+    assert steps.call_count == 9
 
 
 def test_check_rol_passes_the_given_inverses(write_tensor, capsys):
@@ -500,7 +510,7 @@ def every_verb(write_tensor):
             "a": a, "g": rt([2], [2], seed=61), "d": rt([2, 2], [2], seed=62),
             "f": rt([3], [2], seed=63), "z": rt([3], [2], seed=64),
             "x": rt([3], [2, 2], seed=67), "n23": rt([2], [3], seed=65),
-            "n34": rt([3], [4], seed=66),
+            "n34": rt([3], [4], seed=66), "astar": conj_transpose(a),
         }.items()
     }
     argvs = [
@@ -517,6 +527,8 @@ def every_verb(write_tensor):
         argvs.append(["check-rol", path["a"], path["f"], "--lambda", lam])
         # operands whose published conditions are not all conformable
         argvs.append(["check-rol", path["n23"], path["n34"], "--lambda", lam])
+        # b exactly a*, whose inverse is taken from a's
+        argvs.append(["check-rol", path["a"], path["astar"], "--lambda", lam])
     return argvs
 
 
@@ -544,6 +556,32 @@ def test_non_finite_output_is_a_numeric_error(verb, to_file, write_tensor, tmp_p
         assert not out.exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: numeric: ")
+
+
+def test_documents_agree_to_rounding_across_blas_thread_counts(write_tensor):
+    # byte identity holds for one numpy/BLAS build and thread count; across thread
+    # counts the SVD's last bits differ, so compare verdicts and entries (n = 128)
+    a = rt([8, 16], [8, 16], seed=90)
+    path = {name: write_tensor(f"{name}.json", t) for name, t in
+            {"a": a, "astar": conj_transpose(a), "d": rt([8, 16], [8, 16], seed=91)}.items()}
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(einverse.__file__))}
+    bound = 100 * a.row_count * np.finfo(np.float64).eps
+    for argv, verdict, entries in (
+        (["pinv", path["a"]], lambda doc: doc["report"]["satisfied"], lambda doc: doc),
+        (["solve", path["a"], path["astar"], path["d"]], lambda doc: doc["consistent"],
+         lambda doc: doc["particular"]),
+    ):
+        runs = [
+            subprocess.run([sys.executable, "-m", "einverse.cli", *argv], capture_output=True,
+                           text=True, env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
+                           timeout=120)
+            for threads in (1, 2)
+        ]
+        assert [done.returncode for done in runs] == [0, 0], [done.stderr for done in runs]
+        one, two = (json.loads(done.stdout) for done in runs)
+        assert verdict(one) == verdict(two), argv
+        x1, x2 = (Tensor.from_json_dict(entries(doc)) for doc in (one, two))
+        assert frobenius_distance(x1, x2) <= bound * frobenius_norm(x1), argv
 
 
 TINY = Tensor(np.array([[1e-310, 0.0], [0.0, 1e-310]]), 1)

@@ -231,6 +231,22 @@ class TestFamilies:
         assert spy.call_count == 1
         assert svd_calls == []
 
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept-pinv", "graded"])
+    def test_members_are_the_written_formulas_bit_for_bit(self, kept):
+        # the kept pinv(a) takes its projectors from a's memo; any other g forms them
+        a = rt([2, 3], [2, 2], seed=36)
+        g = pinv(a) if kept else pinv(a, rank_tol=1e-12)
+        y = rt([2, 2], [2, 3], seed=37)
+        for _ in range(2):  # the second round reads what the first kept
+            members = (
+                (one_inverse_family(a, g, y), g + y - chain(g, a, y, a, g)),
+                (one_three_family(a, g, y), g + chain(unit_tensor((2, 2)) - chain(g, a), y)),
+                (one_four_family(a, g, y), g + chain(y, unit_tensor((2, 3)) - chain(a, g))),
+            )
+            for got, want in members:
+                assert np.array_equal(got.data, want.data)
+        assert ("pinv a" in a._memo, "b pinv" in a._memo) == (kept, kept)
+
     def test_reflexive_fixed_point(self):
         g = pinv(MP_A)
         assert rdist(reflexive_from_two(MP_A, g, g), g) <= 1e-12
@@ -341,6 +357,15 @@ class TestReverseOrderDiagnose:
         assert diag.sufficient_condition_holds
         assert diag.reverse_order_holds is True
         assert diag.candidate_is_inverse
+
+    def test_conj_transpose_operand_shares_the_factorization(self, svd_calls):
+        # pinv(a*) is taken as pinv(a)*: one SVD for a, one for a a*
+        a = rt([2, 2], [3], seed=38)
+        b = conj_transpose(a)
+        diag = reverse_order_diagnose(a, b, LambdaKind.parse("mp"))
+        assert len(svd_calls) == 2
+        own = chain(pinv(b, rank_tol=4 * np.finfo(np.float64).eps), pinv(a))
+        assert rdist(diag.candidate, own) <= 1e-12
 
     def test_14_example_with_published_inverses(self):
         diag = reverse_order_diagnose(

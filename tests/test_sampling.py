@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from einverse import SplitMix64, random_tensor
+from einverse import ShapeError, SplitMix64, random_tensor, sampling
 from einverse.sampling import _u64_stream
 
 LONG = 100_000
@@ -46,3 +46,16 @@ def test_random_tensor_shape_and_entries(extents, split):
     assert t.extents == extents and t.split == split
     expected = scalar_entries(int(np.prod(extents)), 11, True)
     assert t.data.ravel().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "extents, split, message",
+    [((-1, 2), 1, r"extents must all be >= 1, got \(-1, 2\)"),
+     ((2, 3), 3, "split 3 out of range for 2 extents")],
+)
+def test_random_tensor_refuses_a_bad_shape_before_drawing(extents, split, message, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(sampling, "_u64_stream", lambda *args: drawn.append(args))
+    with pytest.raises(ShapeError, match=message):
+        random_tensor(extents, split, 0)
+    assert drawn == []

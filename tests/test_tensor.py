@@ -63,6 +63,25 @@ def test_shape_validation():
         Tensor(np.zeros((2, 0)), 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: zeros((-1,), 0), lambda: Tensor.from_flat((-1,), 0, []), lambda: unit_tensor([-1])],
+    ids=["zeros", "from_flat", "unit_tensor"],
+)
+def test_constructors_refuse_negative_extents_as_shape_errors(build):
+    with pytest.raises(ShapeError, match=r"extents must all be >= 1, got \(-1,\)"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: zeros((2,), 2), lambda: Tensor.from_flat((2,), 2, [1, 2])],
+    ids=["zeros", "from_flat"],
+)
+def test_constructors_refuse_a_bad_split_as_tensor_shape_does(build):
+    with pytest.raises(ShapeError, match="split 2 out of range for 1 extents"):
+        build()
+
+
 def test_a_scalar_is_the_order_zero_tensor():
     t = Tensor(2.5, 0)
     assert (t.extents, t.split, t.row_count, t.col_count) == ((), 0, 1, 1)
