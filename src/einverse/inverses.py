@@ -12,10 +12,11 @@ with the full set characterizing the unique Moore-Penrose inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .algebra import chain, kronecker
+from .algebra import _product, chain, kronecker
 from .errors import PreconditionError, ShapeError
 from .matricize import _svd, matrix_pinv
 from .tensor import (
@@ -175,15 +176,21 @@ def _require_lambda_inverse(a: Tensor, g: Tensor, flags, tol: float, who: str):
         )
 
 
+def _member(base: Tensor, z: Tensor, left=None, right=None) -> Tensor:
+    """``base + z - left() z right()`` for ``z`` shaped like ``base``, ``None`` sides left out."""
+    _require_free_shape(z, base)  # before a side forms its projector
+    lefts, rights = [left()] if left else [], [right()] if right else []
+    return Tensor(base._data + z._data - _product(*lefts, z, *rights), base.split)
+
+
 def one_inverse_family(a: Tensor, g1: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
-    """Member ``g1 + y - g1 a y a g1`` of the {1}-inverse class of ``a``.
+    """Member ``g1 + y - (g1 a) y (a g1)`` of the {1}-inverse class of ``a``.
 
     ``g1`` must itself satisfy equation (1); as ``y`` ranges over all tensors
     of ``g1``'s shape the formula generates the entire class.
     """
     _require_lambda_inverse(a, g1, (1,), tol, "g1")
-    _require_free_shape(y, g1)
-    return g1 + y - chain(_left_projector(a, g1), y, a, g1)
+    return _member(g1, y, partial(_left_projector, a, g1), partial(_right_projector, a, g1))
 
 
 def reflexive_from_two(a: Tensor, y: Tensor, z: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
@@ -194,19 +201,15 @@ def reflexive_from_two(a: Tensor, y: Tensor, z: Tensor, tol: float = DEFAULT_TOL
 
 
 def one_three_family(a: Tensor, g13: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
-    """Member ``g13 + (I - g13 a) y`` of the {1,3}-inverse class of ``a``."""
+    """Member ``g13 + (I - g13 a) y``, as ``g13 + y - (g13 a) y``, of ``a``'s {1,3}-class."""
     _require_lambda_inverse(a, g13, (1, 3), tol, "g13")
-    _require_free_shape(y, g13)
-    proj = unit_tensor(a.col_extents) - _left_projector(a, g13)
-    return g13 + chain(proj, y)
+    return _member(g13, y, left=partial(_left_projector, a, g13))
 
 
 def one_four_family(a: Tensor, g14: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
-    """Member ``g14 + y (I - a g14)`` of the {1,4}-inverse class of ``a``."""
+    """Member ``g14 + y (I - a g14)``, as ``g14 + y - y (a g14)``, of ``a``'s {1,4}-class."""
     _require_lambda_inverse(a, g14, (1, 4), tol, "g14")
-    _require_free_shape(y, g14)
-    proj = unit_tensor(a.row_extents) - _right_projector(a, g14)
-    return g14 + chain(y, proj)
+    return _member(g14, y, right=partial(_right_projector, a, g14))
 
 
 def mp_from_13_14(a: Tensor, g14: Tensor, g13: Tensor, tol: float = DEFAULT_TOL) -> Tensor:

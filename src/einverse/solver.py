@@ -22,14 +22,13 @@ from typing import Callable
 
 from .algebra import _product, chain
 from .errors import PreconditionError, ShapeError
-from .inverses import _left_projector, _pinv_sharing, _right_projector, pinv
+from .inverses import _left_projector, _member, _pinv_sharing, _right_projector, pinv
 from .tensor import (
     Tensor,
     _relative_residual,
     _require_free_shape,
     frobenius_distance,
     frobenius_norm,
-    unit_tensor,
 )
 
 #: Solvability-test tolerance, relative to (1 + norm of the right-hand side).
@@ -52,16 +51,6 @@ class SolveOutcome:
     particular: Tensor
     residual: float
     generator: Callable[[Tensor], Tensor]
-
-
-def _outcome(x0: Tensor, residual: float, tol: float, member) -> SolveOutcome:
-    """The outcome whose generator maps a free tensor ``z`` of ``x0``'s shape to ``member(z)``."""
-
-    def generator(z: Tensor) -> Tensor:
-        _require_free_shape(z, x0.shape)
-        return Tensor(member(z), x0.split)
-
-    return SolveOutcome(residual <= tol, x0, residual, generator)
 
 
 def solve_axb(
@@ -94,9 +83,7 @@ def solve_axb(
     # the projectors are built on the generator's first call, not before
     left = functools.cache(functools.partial(_left_projector, a, g_a))
     right = functools.cache(functools.partial(_right_projector, b, g_b))
-    return _outcome(
-        x0, residual, tol, lambda z: x0._data + z._data - _product(left(), z, right())
-    )
+    return SolveOutcome(residual <= tol, x0, residual, lambda z: _member(x0, z, left, right))
 
 
 def solve_ax(
@@ -107,15 +94,15 @@ def solve_ax(
 ) -> SolveOutcome:
     """Solve ``a x = b``; consistent iff ``a g b = b``.
 
-    The generator realizes ``x(y) = g b + (I - g a) y``.  ``g`` is a
-    {1}-inverse of ``a``; the default is the Moore-Penrose inverse.
+    The generator realizes ``x(y) = g b + (I - g a) y`` as ``g b + y - (g a) y``.
+    ``g`` is a {1}-inverse of ``a``; the default is the Moore-Penrose inverse.
     """
     if b.row_extents != a.row_extents:
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
     x0 = chain(pinv(a) if g is None else g, b)
     residual = _relative_residual(_product(a, x0), b._data)
-    proj = functools.cache(lambda: unit_tensor(a.col_extents) - _left_projector(a, g))
-    return _outcome(x0, residual, tol, lambda y: x0._data + _product(proj(), y))
+    left = functools.cache(functools.partial(_left_projector, a, g))
+    return SolveOutcome(residual <= tol, x0, residual, lambda y: _member(x0, y, left))
 
 
 def common_solution(
@@ -141,13 +128,13 @@ def common_solution(
     residual = max(
         _relative_residual(_product(a, x0), b._data), _relative_residual(_product(x0, d), f._data)
     )
-    free_left = functools.cache(lambda: unit_tensor(a.col_extents) - left)
-    free_right = functools.cache(
-        lambda: unit_tensor(d.row_extents) - _right_projector(d, None)
-    )
-    return _outcome(
-        x0, residual, tol, lambda z: x0._data + _product(free_left(), z, free_right())
-    )
+
+    def generator(z: Tensor) -> Tensor:  # x0 + w - w (d g_d) with w = z - (g_a a) z
+        _require_free_shape(z, x0)
+        w = Tensor(z._data - _product(left, z), z.split)
+        return _member(x0, w, right=functools.partial(_right_projector, d, None))
+
+    return SolveOutcome(residual <= tol, x0, residual, generator)
 
 
 def verify_unique_triple(

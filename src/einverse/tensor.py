@@ -98,10 +98,7 @@ class Tensor(_IndexGroups):
         # own an immutable copy: numpy refuses to make an array over bytes writable
         buffer = arr.astype(np.complex128, copy=False).tobytes()
         arr = np.frombuffer(buffer, dtype=np.complex128).reshape(arr.shape)
-        if any(e < 1 for e in arr.shape):
-            raise ShapeError(f"extents must all be >= 1, got {arr.shape}")
-        if not 0 <= split <= arr.ndim:
-            raise ShapeError(f"split {split} out of range for order-{arr.ndim} tensor")
+        TensorShape(arr.shape, split)  # refuses bad extents or a bad split
         object.__setattr__(self, "_data", arr)
         object.__setattr__(self, "_split", int(split))
         object.__setattr__(self, "_memo", {})
@@ -235,8 +232,8 @@ def _require_same_shape(a: Tensor, b: Tensor):
         raise ShapeError(f"shape mismatch: {a!r} vs {b!r}")
 
 
-def _require_free_shape(z: Tensor, like):
-    """Raise unless the free tensor ``z`` is shaped like ``like`` (a tensor or a shape)."""
+def _require_free_shape(z: Tensor, like: Tensor):
+    """Raise unless the free tensor ``z`` is shaped like the tensor ``like``."""
     if z.extents != like.extents or z.split != like.split:
         raise ShapeError(f"free tensor {z!r} must be shaped like {like!r}")
 

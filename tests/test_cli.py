@@ -261,8 +261,8 @@ def test_reflexive_ginv_forms_the_projector_once():
     a = rt([2, 2], [3], seed=35)
     with mock.patch("einverse.algebra._contract", wraps=algebra._contract) as steps:
         cli._GINV["1,2"](a, 5)
-    # pinv(a) a once, kept on a; three more steps for each {1}-member, two for y a z
-    assert steps.call_count == 9
+    # pinv(a) a and a pinv(a) once, kept on a; two more steps for each {1}-member, two for y a z
+    assert steps.call_count == 8
 
 
 def test_check_rol_passes_the_given_inverses(write_tensor, capsys):
@@ -627,6 +627,35 @@ def test_memory_failure_in_a_limited_process_is_one_memory_line(argv, tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: memory: "), done.stderr
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no address-space limit")
+@pytest.mark.parametrize("verb", ["solve-ax", "common"])
+def test_generator_on_a_wide_operator_runs_in_a_limited_process(verb, tmp_path):
+    import resource
+
+    # the projector pinv(a) a of this 1 x 5000 operator takes 400 MB, and the generator forms
+    # nothing else of its size, so the run fits in an address space limited to 1 GiB
+    n = 5000
+    docs = {
+        "a": {"extents": [1, n], "split": 1, "re": [1.0] * n},
+        "one": {"extents": [1, 1], "split": 1, "re": [1.0]},
+        "col": {"extents": [n, 1], "split": 1, "re": [0.5] * n},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    a, one, col = (str(tmp_path / f"{name}.json") for name in docs)
+    operands = {"solve-ax": [a, one], "common": [a, one, one, col]}[verb]
+    limit = 1024**3
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(einverse.__file__)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "einverse.cli", verb, *operands, "--z", col],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["generated_solution"]["extents"] == [n, 1]
 
 
 def cli_process(argv, unbuffered, **kwargs):

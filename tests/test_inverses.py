@@ -239,9 +239,9 @@ class TestFamilies:
         y = rt([2, 2], [2, 3], seed=37)
         for _ in range(2):  # the second round reads what the first kept
             members = (
-                (one_inverse_family(a, g, y), g + y - chain(g, a, y, a, g)),
-                (one_three_family(a, g, y), g + chain(unit_tensor((2, 2)) - chain(g, a), y)),
-                (one_four_family(a, g, y), g + chain(y, unit_tensor((2, 3)) - chain(a, g))),
+                (one_inverse_family(a, g, y), g + y - chain(chain(g, a), y, chain(a, g))),
+                (one_three_family(a, g, y), g + y - chain(chain(g, a), y)),
+                (one_four_family(a, g, y), g + y - chain(y, chain(a, g))),
             )
             for got, want in members:
                 assert np.array_equal(got.data, want.data)

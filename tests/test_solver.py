@@ -21,6 +21,7 @@ from einverse import (
     one_four_family,
     one_inverse_family,
     one_three_family,
+    penrose_check,
     pinv,
     row_block,
     solve_ax,
@@ -295,36 +296,49 @@ class TestKroneckerRoute:
 
 
 def _free_tensor_entry_points():
-    """Each entry point that takes a free tensor, as a call on a wrong-shaped one."""
+    """Each entry point that takes a free tensor, as a call on a wrong-shaped one.
+
+    Every free tensor it takes is shaped like ``Tensor(3 | 2)``.
+    """
     a = rank_deficient([2, 2], [3], seed=48, rank=2)
-    g = pinv(a)
+    c = rank_deficient([2], [3], seed=54, rank=1)
+    g = pinv(c)
     b, d2, f = rt([2], [2], seed=49), rt([2], [2], seed=50), rt([3], [2], seed=51)
     d = chain(a, rt([3], [2], seed=52), b)
     return {
-        "one_inverse_family": lambda y: one_inverse_family(a, g, y),
-        "one_three_family": lambda y: one_three_family(a, g, y),
-        "one_four_family": lambda y: one_four_family(a, g, y),
+        "one_inverse_family": lambda y: one_inverse_family(c, g, y),
+        "one_three_family": lambda y: one_three_family(c, g, y),
+        "one_four_family": lambda y: one_four_family(c, g, y),
         "solve_axb": solve_axb(a, b, d).generator,
         "solve_ax": solve_ax(a, chain(a, f)).generator,
         "common_solution": common_solution(a, chain(a, f), d2, chain(f, d2)).generator,
     }
 
 
+_ENTRY_POINTS = (
+    "one_inverse_family",
+    "one_three_family",
+    "one_four_family",
+    "solve_axb",
+    "solve_ax",
+    "common_solution",
+)
+
+
 @pytest.mark.parametrize(
     "entry, expected",
     [
-        (name, "free tensor Tensor(2 | 2) must be shaped like Tensor(3 | 2x2)")
-        for name in ("one_inverse_family", "one_three_family", "one_four_family")
-    ]
-    + [
-        (name, "free tensor Tensor(2 | 2) must be shaped like TensorShape(extents=(3, 2), split=1)")
-        for name in ("solve_axb", "solve_ax", "common_solution")
+        (name, "free tensor Tensor(2 | 2) must be shaped like Tensor(3 | 2)")
+        for name in _ENTRY_POINTS
     ],
 )
 def test_free_tensor_of_wrong_shape_is_refused_with_its_message(entry, expected):
-    with pytest.raises(ShapeError) as exc:
-        _free_tensor_entry_points()[entry](rt([2], [2], seed=53))
+    call = _free_tensor_entry_points()[entry]
+    with mock.patch("einverse.algebra._contract", wraps=algebra._contract) as steps:
+        with pytest.raises(ShapeError) as exc:
+            call(rt([2], [2], seed=53))
     assert str(exc.value) == expected
+    assert steps.call_count == 0  # refused before any projector is formed
 
 
 def _generator_cases():
@@ -342,11 +356,11 @@ def _generator_cases():
         return out.particular + z - chain(left(), z, chain(b, pinv(b)))
 
     def ax(out):
-        return out.particular + chain(unit_tensor([3, 2]) - left(), y)
+        return out.particular + y - chain(left(), y)
 
     def common(out):
-        coproj = unit_tensor([3]) - chain(d2, pinv(d2))
-        return out.particular + chain(unit_tensor([3, 2]) - left(), y, coproj)
+        w = y - chain(left(), y)
+        return out.particular + w - chain(w, chain(d2, pinv(d2)))
 
     return {
         "solve_axb": (solve_axb(a, b, d), z, axb),
@@ -362,6 +376,75 @@ def test_generator_follows_its_formula_bit_for_bit(solver):
     want = formula(outcome)
     assert got.shape == want.shape
     assert np.array_equal(got.data, want.data)
+
+
+_OPERANDS = {
+    "complex": lambda: rt([2, 2], [2, 2], seed=3300),
+    "rank-deficient": lambda: rank_deficient([2, 2], [2, 2], seed=3301, rank=2),
+    "wide": lambda: rt([2, 3], [4, 5], seed=3302),
+    "tall": lambda: rt([4, 5], [2, 3], seed=3303),
+    "real": lambda: chain(  # real entries, rank 3
+        rt([2, 2], [3], seed=3304, complex_entries=False),
+        rt([3], [2, 2], seed=3305, complex_entries=False),
+    ),
+}
+
+
+def _identity_forms(a):
+    """Per entry point: its result on ``a``, its formula written out, and a grade.
+
+    Where a formula has a factor ``I - P``, as in ``g + (I - g a) y``, the written form
+    builds the unit tensor ``I``. A family member is graded by its Penrose flags, a
+    generated solution by whether it solves its equations within ``SOLVE_TOL``.
+    """
+    def like_a(row, col, seed):  # real when a is
+        return rt(row, col, seed, complex_entries=bool(a.data.imag.any()))
+
+    g, b, e = pinv(a), ct(a), like_a([3], [2], seed=3310)
+    ga, ag = chain(g, a), chain(a, g)
+    free_col, free_row = unit_tensor(a.col_extents) - ga, unit_tensor(a.row_extents) - ag
+    y = like_a(a.col_extents, a.row_extents, seed=3311)
+    z = like_a(a.col_extents, a.col_extents, seed=3312)
+    w = like_a(a.col_extents, [3], seed=3313)
+    x = like_a(a.col_extents, [3], seed=3314)
+    d, rhs, f = chain(a, z, b), chain(a, x), chain(x, e)
+    free_e = unit_tensor([3]) - chain(e, pinv(e))
+
+    def flags(member):
+        return penrose_check(a, member).satisfied
+
+    def solves(*equations):
+        return max(rdist(chain(*lhs), want) for *lhs, want in equations) <= SOLVE_TOL
+
+    axb, ax = solve_axb(a, b, d), solve_ax(a, rhs)
+    common = common_solution(a, rhs, e, f)
+    return {
+        "one_inverse_family": (one_inverse_family(a, g, y), g + y - chain(g, a, y, a, g), flags),
+        "one_three_family": (one_three_family(a, g, y), g + chain(free_col, y), flags),
+        "one_four_family": (one_four_family(a, g, y), g + chain(y, free_row), flags),
+        "solve_axb": (
+            axb.generator(z),
+            axb.particular + z - chain(ga, z, chain(b, pinv(b))),
+            lambda sol: solves((a, sol, b, d)),
+        ),
+        "solve_ax": (
+            ax.generator(w), ax.particular + chain(free_col, w), lambda sol: solves((a, sol, rhs))
+        ),
+        "common_solution": (
+            common.generator(w),
+            common.particular + chain(free_col, w, free_e),
+            lambda sol: solves((a, sol, rhs), (sol, e, f)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("operand", _OPERANDS)
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_member_agrees_with_its_identity_form(operand, entry):
+    got, want, grade = _identity_forms(_OPERANDS[operand]())[entry]
+    assert got.shape == want.shape
+    assert rdist(got, want) <= 1e-12
+    assert grade(got) == grade(want)
 
 
 def test_common_solution_forms_f_g_d_once():

@@ -86,7 +86,7 @@ def test_a_scalar_is_the_order_zero_tensor():
     t = Tensor(2.5, 0)
     assert (t.extents, t.split, t.row_count, t.col_count) == ((), 0, 1, 1)
     assert t.as_matrix().tolist() == [[2.5]]
-    with pytest.raises(ShapeError, match="split 1 out of range for order-0 tensor"):
+    with pytest.raises(ShapeError, match="split 1 out of range for 0 extents"):
         Tensor(2.5, 1)
 
 
