@@ -12,7 +12,6 @@ with the full set characterizing the unique Moore-Penrose inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -176,11 +175,10 @@ def _require_lambda_inverse(a: Tensor, g: Tensor, flags, tol: float, who: str):
         )
 
 
-def _member(base: Tensor, z: Tensor, left=None, right=None) -> Tensor:
-    """``base + z - left() z right()`` for ``z`` shaped like ``base``, ``None`` sides left out."""
+def _member(base: Tensor, z: Tensor, left=tuple, right=tuple) -> Tensor:
+    """``base + z - L z R`` for ``z`` shaped like ``base``; left() and right() list L and R."""
     _require_free_shape(z, base)  # before a side forms its projector
-    lefts, rights = [left()] if left else [], [right()] if right else []
-    return Tensor(base._data + z._data - _product(*lefts, z, *rights), base.split)
+    return Tensor(base._data + z._data - _product(*left(), z, *right()), base.split)
 
 
 def one_inverse_family(a: Tensor, g1: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
@@ -190,7 +188,9 @@ def one_inverse_family(a: Tensor, g1: Tensor, y: Tensor, tol: float = DEFAULT_TO
     of ``g1``'s shape the formula generates the entire class.
     """
     _require_lambda_inverse(a, g1, (1,), tol, "g1")
-    return _member(g1, y, partial(_left_projector, a, g1), partial(_right_projector, a, g1))
+    def right():  # a tall a's a g1 is larger than g1 a: there y is multiplied by a, then g1
+        return (a, g1) if a.row_count > a.col_count else (_right_projector(a, g1),)
+    return _member(g1, y, lambda: (_left_projector(a, g1),), right)
 
 
 def reflexive_from_two(a: Tensor, y: Tensor, z: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
@@ -203,13 +203,13 @@ def reflexive_from_two(a: Tensor, y: Tensor, z: Tensor, tol: float = DEFAULT_TOL
 def one_three_family(a: Tensor, g13: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
     """Member ``g13 + (I - g13 a) y``, as ``g13 + y - (g13 a) y``, of ``a``'s {1,3}-class."""
     _require_lambda_inverse(a, g13, (1, 3), tol, "g13")
-    return _member(g13, y, left=partial(_left_projector, a, g13))
+    return _member(g13, y, left=lambda: (_left_projector(a, g13),))
 
 
 def one_four_family(a: Tensor, g14: Tensor, y: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
     """Member ``g14 + y (I - a g14)``, as ``g14 + y - y (a g14)``, of ``a``'s {1,4}-class."""
     _require_lambda_inverse(a, g14, (1, 4), tol, "g14")
-    return _member(g14, y, right=partial(_right_projector, a, g14))
+    return _member(g14, y, right=lambda: (_right_projector(a, g14),))
 
 
 def mp_from_13_14(a: Tensor, g14: Tensor, g13: Tensor, tol: float = DEFAULT_TOL) -> Tensor:

@@ -81,8 +81,8 @@ def solve_axb(
     x0 = chain(ga, d, gb)
     residual = _relative_residual(_product(a, x0, b), d._data)
     # the projectors are built on the generator's first call, not before
-    left = functools.cache(functools.partial(_left_projector, a, g_a))
-    right = functools.cache(functools.partial(_right_projector, b, g_b))
+    left = functools.cache(lambda: (_left_projector(a, g_a),))
+    right = functools.cache(lambda: (_right_projector(b, g_b),))
     return SolveOutcome(residual <= tol, x0, residual, lambda z: _member(x0, z, left, right))
 
 
@@ -101,7 +101,7 @@ def solve_ax(
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
     x0 = chain(pinv(a) if g is None else g, b)
     residual = _relative_residual(_product(a, x0), b._data)
-    left = functools.cache(functools.partial(_left_projector, a, g))
+    left = functools.cache(lambda: (_left_projector(a, g),))
     return SolveOutcome(residual <= tol, x0, residual, lambda y: _member(x0, y, left))
 
 
@@ -132,7 +132,7 @@ def common_solution(
     def generator(z: Tensor) -> Tensor:  # x0 + w - w (d g_d) with w = z - (g_a a) z
         _require_free_shape(z, x0)
         w = Tensor(z._data - _product(left, z), z.split)
-        return _member(x0, w, right=functools.partial(_right_projector, d, None))
+        return Tensor(x0._data + w._data - _product(w, _right_projector(d, None)), x0.split)
 
     return SolveOutcome(residual <= tol, x0, residual, generator)
 

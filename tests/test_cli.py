@@ -258,11 +258,12 @@ def test_ginv_grades_once_and_draws_only_the_free_tensors_it_uses(lam, draws, wr
 
 
 def test_reflexive_ginv_forms_the_projector_once():
-    a = rt([2, 2], [3], seed=35)
-    with mock.patch("einverse.algebra._contract", wraps=algebra._contract) as steps:
-        cli._GINV["1,2"](a, 5)
-    # pinv(a) a and a pinv(a) once, kept on a; two more steps for each {1}-member, two for y a z
-    assert steps.call_count == 8
+    # pinv(a) a once, kept on a, and two steps for y a z. A wide a keeps a pinv(a) too, so
+    # each {1}-member takes two more steps; a tall a's would outgrow pinv(a) a, so three
+    for a, count in ((rt([3], [2, 2], seed=35), 8), (rt([2, 2], [3], seed=35), 9)):
+        with mock.patch("einverse.algebra._contract", wraps=algebra._contract) as steps:
+            cli._GINV["1,2"](a, 5)
+        assert steps.call_count == count
 
 
 def test_check_rol_passes_the_given_inverses(write_tensor, capsys):

@@ -31,6 +31,7 @@ from einverse import (
     zeros,
     zeros_like,
 )
+from einverse import algebra
 from einverse.tensor import _relative_residual
 from conftest import conditioned, rank_deficient, rdist, rt
 from golden_data import (
@@ -233,19 +234,41 @@ class TestFamilies:
 
     @pytest.mark.parametrize("kept", [True, False], ids=["kept-pinv", "graded"])
     def test_members_are_the_written_formulas_bit_for_bit(self, kept):
-        # the kept pinv(a) takes its projectors from a's memo; any other g forms them
-        a = rt([2, 3], [2, 2], seed=36)
+        # the kept pinv(a) takes its projectors from a's memo; any other g forms them.
+        # A tall a's {1}-member is multiplied out left to right; a wide a's reads a g kept.
+        for a, y, tall in (
+            (rt([2, 3], [2, 2], seed=36), rt([2, 2], [2, 3], seed=37), True),
+            (rt([2, 2], [2, 3], seed=38), rt([2, 3], [2, 2], seed=39), False),
+        ):
+            g = pinv(a) if kept else pinv(a, rank_tol=1e-12)
+            right = (a, g) if tall else (chain(a, g),)
+            for _ in range(2):  # the second round reads what the first kept
+                members = (
+                    (one_inverse_family(a, g, y), g + y - chain(chain(g, a), y, *right)),
+                    (one_three_family(a, g, y), g + y - chain(chain(g, a), y)),
+                    (one_four_family(a, g, y), g + y - chain(y, chain(a, g))),
+                )
+                for got, want in members:
+                    assert np.array_equal(got.data, want.data)
+            assert ("pinv a" in a._memo, "b pinv" in a._memo) == (kept, kept)
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept-pinv", "graded"])
+    def test_a_tall_operands_member_forms_nothing_larger_than_the_operand(self, kept):
+        # a pinv(a) of this 12 x 2 operator is 12 x 12; the member never forms it
+        a = rt([3, 4], [2], seed=40)
         g = pinv(a) if kept else pinv(a, rank_tol=1e-12)
-        y = rt([2, 2], [2, 3], seed=37)
-        for _ in range(2):  # the second round reads what the first kept
-            members = (
-                (one_inverse_family(a, g, y), g + y - chain(chain(g, a), y, chain(a, g))),
-                (one_three_family(a, g, y), g + y - chain(chain(g, a), y)),
-                (one_four_family(a, g, y), g + y - chain(y, chain(a, g))),
-            )
-            for got, want in members:
-                assert np.array_equal(got.data, want.data)
-        assert ("pinv a" in a._memo, "b pinv" in a._memo) == (kept, kept)
+        sizes, steps = [], algebra._contract
+
+        def contract(*args):
+            m, extents = steps(*args)
+            sizes.append(m.size)
+            return m, extents
+
+        with mock.patch("einverse.algebra._contract", side_effect=contract):
+            member = one_inverse_family(a, g, rt([2], [3, 4], seed=41))
+        assert max(sizes) <= a.data.size
+        assert "b pinv" not in a._memo
+        assert penrose_check(a, member).satisfied[0]
 
     def test_reflexive_fixed_point(self):
         g = pinv(MP_A)
