@@ -38,7 +38,7 @@ from .inverses import (
     svd,
 )
 from .matricize import matrix_pinv
-from .sampling import SplitMix64, random_tensor
+from .sampling import random_tensor
 from .solver import (
     SOLVE_TOL,
     SolveOutcome,
@@ -74,7 +74,6 @@ __all__ = [
     "ReverseOrderDiagnosis",
     "ShapeError",
     "SolveOutcome",
-    "SplitMix64",
     "SvdTriple",
     "Tensor",
     "TensorShape",

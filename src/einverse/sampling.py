@@ -26,30 +26,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """Deterministic 64-bit generator with the constants documented above."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
-
-    def next_double(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_symmetric(self) -> float:
-        """Uniform double in [-1, 1)."""
-        return 2.0 * self.next_double() - 1.0
-
-
 def _u64_stream(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` outputs of ``SplitMix64(seed).next_u64()``, all at once.
+    """The first ``count`` outputs of the stream seeded with ``seed``, all at once.
 
     The generator is counter-based: output ``i`` (from 0) mixes
     ``seed + (i + 1) * gamma``, so the stream is one ``uint64`` array
@@ -69,16 +47,14 @@ def _u64_stream(seed: int, count: int) -> np.ndarray:
 def random_tensor(extents, split: int, seed: int, complex_entries: bool = True) -> Tensor:
     """Seeded tensor with entries uniform in [-1, 1) (plus i*[-1, 1) if complex).
 
-    Matches drawing each entry from :class:`SplitMix64` in turn, bit for bit.
+    Matches the scalar reference generator in ``tests/test_sampling.py`` bit for bit.
     """
     extents = TensorShape(extents, split).extents
     n = int(np.prod(extents))
     draws = _u64_stream(seed, 2 * n if complex_entries else n)
     draws >>= np.uint64(11)
-    entries = np.zeros(n, dtype=np.complex128)
-    # complex: real and imaginary parts alternate in the stream
-    parts = entries.view(np.float64) if complex_entries else entries.real
-    np.multiply(draws, 2.0**-53, out=parts)
+    parts = draws * 2.0**-53
     parts *= 2.0
     parts -= 1.0
+    entries = parts.view(np.complex128) if complex_entries else parts  # re, im alternate
     return Tensor.from_flat(extents, split, entries)

@@ -282,14 +282,28 @@ def unit_tensor(row_extents) -> Tensor:
     return Tensor(np.eye(n, dtype=np.complex128).reshape(row_extents * 2), len(row_extents))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of the entries ``x``: numpy's, rescaled only where that overflows.
+
+    The sum of squares overflows for finite entries near 1e155 and up; dividing
+    by the largest part's magnitude first keeps every norm that fits in a double.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x.ravel()))
+    if norm == np.inf and np.isfinite(x).all():
+        scale = max(float(np.abs(x.real).max()), float(np.abs(x.imag).max()))
+        norm = scale * float(np.linalg.norm((x / scale).ravel()))
+    return norm
+
+
 def frobenius_norm(a: Tensor) -> float:
-    return float(np.linalg.norm(a.data.ravel()))
+    return _norm(a.data)
 
 
 def frobenius_distance(a: Tensor, b: Tensor) -> float:
     """Frobenius norm of ``a - b``; zero iff entrywise equal."""
     _require_same_shape(a, b)
-    return float(np.linalg.norm((a.data - b.data).ravel()))
+    return _norm(a.data - b.data)
 
 
 def _relative_residual(got: np.ndarray, want: np.ndarray) -> float:
@@ -299,8 +313,7 @@ def _relative_residual(got: np.ndarray, want: np.ndarray) -> float:
     """
     if got.shape != want.shape:
         raise ShapeError(f"shape mismatch: entries shaped {got.shape} vs {want.shape}")
-    distance = float(np.linalg.norm((got - want).ravel()))
-    return distance / (1.0 + float(np.linalg.norm(want.ravel())))
+    return _norm(got - want) / (1.0 + _norm(want))
 
 
 def is_hermitian(a: Tensor, tol: float = DEFAULT_TOL) -> bool:

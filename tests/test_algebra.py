@@ -229,6 +229,11 @@ def test_vec_kronecker_identity():
 def test_unvec_round_trip():
     a = rt([2, 3], [2, 2], seed=64)
     assert frobenius_distance(unvec(vec(a), a.shape), a) == 0.0
+    with pytest.raises(ShapeError) as exc:
+        unvec(vec(a), TensorShape((5, 5), 1))
+    assert str(exc.value) == (
+        "cannot reshape Tensor(6x2x2 | ()) into TensorShape(extents=(5, 5), split=1)"
+    )
 
 
 def test_row_block_zero_padding_layout():
@@ -262,6 +267,9 @@ def test_column_block_is_transpose_composition():
 def test_block_shape_errors():
     with pytest.raises(ShapeError):
         row_block(rt([2], [2], seed=1), rt([3], [2], seed=2))
+    with pytest.raises(ShapeError) as exc:
+        row_block(rt([2], [2], seed=1), rt([2], [2, 2], seed=2))
+    assert str(exc.value) == "column group ranks differ: Tensor(2 | 2) vs Tensor(2 | 2x2)"
     with pytest.raises(ShapeError):
         column_block(rt([2], [2], seed=1), rt([2], [3], seed=2))
 

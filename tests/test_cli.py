@@ -539,17 +539,30 @@ def test_every_verb_writes_strict_json(write_tensor, capsys):
         strict_json(capsys.readouterr().out)
 
 
-HUGE = Tensor(np.array([[1e200, 2e200], [3e200, 4e200]]), 1)
+LARGE = Tensor(np.array([[1e200, 2e200], [3e200, 4e200]]), 1)
+NEAR_MAX = Tensor(np.array([[1.7e308, 1.6e308], [1.5e308, 1.4e308]]), 1)
+
+
+def test_finite_norm_of_entries_whose_squares_overflow(write_tensor):
+    path = write_tensor("large.json", LARGE)
+    code, out, err = run_main(["pinv", path])
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["satisfied"] == [True] * 4 and max(report["residuals"]) <= 1e-14
+    code, out, err = run_main(["info", path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["frobenius_norm"] == pytest.approx(30**0.5 * 1e200, rel=1e-15)
 
 
 @pytest.mark.parametrize("verb", ["pinv", "verify", "info"])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_non_finite_output_is_a_numeric_error(verb, to_file, write_tensor, tmp_path, capsys):
-    path = write_tensor("huge.json", HUGE)
+    # the norm of the near-max entries leaves the double range; so does the product
+    # a g a of the 1e200 entries that verify forms with g = a
+    path = write_tensor("huge.json", LARGE if verb == "verify" else NEAR_MAX)
     out = tmp_path / "out.json"
     argv = [verb, path] + ([path] if verb == "verify" else []) + (["--out", str(out)] * to_file)
     for fmt in ("json", "table"):
-        # the unscaled Frobenius norm of these finite entries overflows
         code = main(argv + ["--format", fmt])
         captured = capsys.readouterr()
         assert code == 1, fmt
@@ -588,9 +601,10 @@ def test_documents_agree_to_rounding_across_blas_thread_counts(write_tensor):
 TINY = Tensor(np.array([[1e-310, 0.0], [0.0, 1e-310]]), 1)
 
 
-@pytest.mark.parametrize("tensor", [HUGE, TINY], ids=["1e200", "diagonal-1e-310"])
+@pytest.mark.parametrize("tensor", [NEAR_MAX, TINY], ids=["1.7e308", "diagonal-1e-310"])
 def test_numeric_failure_prints_one_stderr_line(tensor, write_tensor):
-    # numpy warns on these (overflow in the norm, or in 1/sigma); only the error line may show
+    # results leave the double range (numpy warns on 1/sigma of the second); only the
+    # error line may show
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(einverse.__file__))}
     argv = [sys.executable, "-m", "einverse.cli", "pinv", write_tensor("t.json", tensor)]
     done = subprocess.run(argv, capture_output=True, text=True, env=env)

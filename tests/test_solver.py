@@ -107,6 +107,11 @@ class TestSolveAx:
             x = outcome.generator(y)
             assert rdist(chain(a, x), b) <= 1e-9
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError) as exc:
+            solve_ax(rt([2], [3], seed=17), rt([3], [2], seed=18))
+        assert str(exc.value) == "right-hand side Tensor(3 | 2) does not fit Tensor(2 | 3)"
+
     def test_rhs_outside_range(self):
         a = rank_deficient([2, 2], [2, 2], seed=15, rank=2)
         w = rt([2, 2], [2], seed=16)
@@ -126,6 +131,19 @@ class TestCommonSolution:
         outcome = common_solution(i, b, i, b)
         assert outcome.consistent
         assert rdist(outcome.particular, b) <= 1e-12
+
+    def test_shape_mismatch(self):
+        a, b = rt([2], [3], seed=22), rt([2], [4], seed=23)
+        d, f = rt([4], [5], seed=24), rt([3], [5], seed=25)
+        misfit = rt([3], [4], seed=26)
+        for args, message in (
+            ((a, misfit, d, f), "Tensor(3 | 4) does not fit Tensor(2 | 3) on the left equation"),
+            ((a, b, d, misfit), "Tensor(3 | 4) does not fit Tensor(4 | 5) on the right equation"),
+            ((a, b, rt([2], [5], seed=27), f), "equations do not share an unknown of one shape"),
+        ):
+            with pytest.raises(ShapeError) as exc:
+                common_solution(*args)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_planted_common_solution(self, seed):

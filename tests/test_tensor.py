@@ -205,10 +205,25 @@ def test_predicates_require_square():
 def test_frobenius_distance_basics():
     a = rt([2, 2], [2], seed=9)
     assert frobenius_distance(a, a) == 0.0
+    assert frobenius_distance(a, -a) == 2 * frobenius_norm(a)
     o = zeros((2, 2), 1)
     assert frobenius_distance(o, unit_tensor([2])) == pytest.approx(math.sqrt(2))
     with pytest.raises(ShapeError):
         frobenius_distance(a, rt([2], [2, 2], seed=9))
+
+
+@pytest.mark.parametrize(
+    "entries, norm",
+    [([1e200, 2e200, 3e200, 4e200], math.sqrt(30) * 1e200),
+     ([1e300 + 1e300j, 1e300j], math.sqrt(3) * 1e300),
+     ([1e308, -1e308], math.sqrt(2) * 1e308),
+     ([1.7e308, 1.7e308], math.inf)],
+)
+def test_frobenius_norm_rescales_only_where_the_squares_overflow(entries, norm):
+    # the suite turns numpy's overflow warnings into errors, so the rescue must not warn
+    a = Tensor(np.array(entries), 1)
+    assert frobenius_norm(a) == pytest.approx(norm, rel=1e-15)
+    assert frobenius_distance(a, zeros(a.extents, a.split)) == frobenius_norm(a)
 
 
 def test_frobenius_distance_golden_pair_direct_summation():
