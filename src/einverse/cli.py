@@ -118,43 +118,37 @@ def _float_text(run: np.ndarray, sep: str):
         yield orjson.dumps(chunk).decode()[1:-1].replace('"', "").replace(",", sep)
 
 
-def _run_text(head: str, run: np.ndarray):
-    """``head``, then ``run`` as the reference encoder writes it after ``head``'s last line."""
-    line = head.rpartition("\n")[2]
-    newline = "\n" + line[: len(line) - len(line.lstrip(" "))]  # at the indent of that line
-    yield head + "[" + newline + "  "
-    yield from _float_text(run, "," + newline + "  ")
-    yield newline + "]"
-
-
 def _json_text(doc: dict):
     """The text of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, piece by piece.
 
-    Each run (a non-empty 1-D float numpy array) is written as its list.  The
-    reference encoder renders the document and meets the runs in order through
-    ``default``, which renders a placeholder string for each; each run is then
-    streamed, ``_RUN_CHUNK`` floats at a time, in its placeholder's place, so
-    no string of the whole document is built.  A run with a non-finite float
-    goes back as its list, so that rendering raises the reference encoder's own
-    ValueError before anything is returned.
+    Each run (a non-empty 1-D float numpy array) is written as its list.  One
+    pass of the reference encoder renders the document and meets the runs in
+    order through ``default``, which hands back the stand-in ``[None]`` for
+    each.  The encoder's next chunk is that stand-in's opening: ``"["``, the
+    newline and indent, then ``"null"``; the run is streamed there instead,
+    ``_RUN_CHUNK`` floats at a time, so no string of the whole document is
+    built.  The whole document is rendered before anything is returned, and a
+    run with a non-finite float goes back as its list, so that the encoder
+    raises its own ValueError first.
     """
-    runs, placeholder = [], "run"
+    pieces = []  # iterables of text, in order; a run stays bare until its opening comes
 
     def token(obj):  # any other object is refused, as by the reference encoder
         if not isinstance(obj, np.ndarray):
             return json.JSONEncoder().default(obj)
         if not np.isfinite(obj).all():
             return obj.tolist()
-        runs.append(obj)
-        return placeholder
+        pieces.append(obj)
+        return [None]
 
-    while True:
-        runs.clear()
-        text = json.dumps(doc, indent=2, allow_nan=False, default=token)
-        heads = text.split(json.dumps(placeholder))
-        if len(heads) == len(runs) + 1:  # so no key or string value holds the token
-            return itertools.chain(*map(_run_text, heads, runs), [heads[-1] + "\n"])
-        placeholder += "~"
+    for chunk in json.JSONEncoder(indent=2, allow_nan=False, default=token).iterencode(doc):
+        if pieces and isinstance(pieces[-1], np.ndarray):  # the stand-in's opening
+            opening = chunk.removesuffix("null")
+            pieces[-1] = itertools.chain([opening], _float_text(pieces[-1], "," + opening[1:]))
+        else:
+            pieces.append([chunk])
+    pieces.append(["\n"])
+    return itertools.chain.from_iterable(pieces)
 
 
 def _emit(doc: dict, out: str | None, fmt: str):

@@ -14,20 +14,23 @@ from .errors import NumericError
 
 
 def _svd(m: np.ndarray, full_matrices: bool):
-    """``(u, s, vh)`` of ``m``; raises :class:`NumericError` if no driver converges."""
+    """``(u, s, vh)`` of ``m``; :class:`NumericError` if no driver converges or sigma overflows."""
     try:
-        return np.linalg.svd(m, full_matrices=full_matrices)
+        u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         # numpy's divide-and-conquer driver (gesdd) now and then fails to
         # converge where the QR-iteration driver (gesvd) succeeds
         try:
             import scipy.linalg
 
-            return scipy.linalg.svd(
+            u, s, vh = scipy.linalg.svd(
                 m, full_matrices=full_matrices, lapack_driver="gesvd"
             )
         except (ImportError, ValueError, np.linalg.LinAlgError):
             raise NumericError(f"SVD failed: {exc}") from exc
+    if not np.isfinite(s).all():  # an infinite sigma_max would drop every singular value
+        raise NumericError(f"SVD failed: a singular value is beyond the double range ({s[0]})")
+    return u, s, vh
 
 
 def matrix_pinv(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:

@@ -557,8 +557,8 @@ def test_finite_norm_of_entries_whose_squares_overflow(write_tensor):
 @pytest.mark.parametrize("verb", ["pinv", "verify", "info"])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_non_finite_output_is_a_numeric_error(verb, to_file, write_tensor, tmp_path, capsys):
-    # the norm of the near-max entries leaves the double range; so does the product
-    # a g a of the 1e200 entries that verify forms with g = a
+    # the near-max entries' largest singular value and norm leave the double range;
+    # so does the product a g a of the 1e200 entries that verify forms with g = a
     path = write_tensor("huge.json", LARGE if verb == "verify" else NEAR_MAX)
     out = tmp_path / "out.json"
     argv = [verb, path] + ([path] if verb == "verify" else []) + (["--out", str(out)] * to_file)
@@ -612,6 +612,18 @@ def test_numeric_failure_prints_one_stderr_line(tensor, write_tensor):
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numeric: "), done.stderr
+
+
+@pytest.mark.parametrize("argv", [["pinv"]] + [["ginv", "--lambda", lam] for lam in cli._GINV],
+                         ids=["pinv"] + [f"ginv-{lam}" for lam in cli._GINV])
+def test_overflowing_singular_value_is_a_numeric_error(argv, write_tensor):
+    # sigma_max is inf: the inverse is refused, not written as zeros
+    path = write_tensor("t.json", NEAR_MAX)
+    for fmt in ("json", "table"):
+        code, out, err = run_main([argv[0], path, *argv[1:], "--format", fmt])
+        assert (code, out) == (1, ""), fmt
+        reason = "SVD failed: a singular value is beyond the double range (inf)"
+        assert err == f"error: numeric: {reason}\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -773,10 +785,11 @@ _EDGE_FLOATS = st.sampled_from([
     1e-4, -1e-4, 9.999999999999999e-05, 0.00010000000000000002, 9999999999999998.0, 1e15, -1e16,
 ])
 _FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
-# keys and strings also hold NUL, quotes, backslashes and the writer's placeholder text
+# keys and strings also hold NUL, quotes, backslashes, "run", "~" and "null"
 _TEXT = st.one_of(
     st.text(max_size=4),
-    st.lists(st.sampled_from(["\x00", "run", "~", '"', "\\", "\n", " "]), max_size=4).map("".join),
+    st.lists(st.sampled_from(["\x00", "run", "~", "null", '"', "\\", "\n", " "]), max_size=4)
+    .map("".join),
 )
 # runs as the CLI holds them: float views of complex entries
 _RUNS = st.lists(_FLOATS, min_size=1, max_size=9).map(lambda v: np.array(v, dtype=complex).real)
@@ -817,6 +830,16 @@ def test_json_writer_refuses_what_the_reference_encoder_refuses():
     assert "".join(cli._json_text(doc)) == reference_text(doc)
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli._json_text({"re": np.array([0.5]), "flag": np.bool_(True)})
+
+
+def test_json_writer_runs_the_encoder_once():
+    # keys and strings that hold "run", "run~" and quotes, and a run nested in a list
+    doc = {"run": np.array([0.5]), '"run"': ["run", "run~"], "x": [np.array([1.5, 2.5])]}
+    want = reference_text(doc)
+    with mock.patch.object(json.JSONEncoder, "iterencode", autospec=True,
+                           side_effect=json.JSONEncoder.iterencode) as iterencode:
+        assert "".join(cli._json_text(doc)) == want
+    assert iterencode.call_count == 1
 
 
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])

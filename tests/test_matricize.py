@@ -120,3 +120,18 @@ def test_svd_failing_in_both_drivers_raises_numeric_error(monkeypatch):
 def test_non_finite_input_raises_numeric_error():
     with pytest.raises(NumericError):
         matrix_pinv(np.full((3, 3), np.nan))
+
+
+NEAR_MAX = Tensor(np.array([[1.7e308, 1.6e308], [1.5e308, 1.4e308]]), 1)
+
+
+@pytest.mark.parametrize("gesvd", [False, True], ids=["gesdd", "gesvd"])
+@pytest.mark.parametrize("compute", [pinv, lambda t: matrix_pinv(t.as_matrix()), svd],
+                         ids=["pinv", "matrix_pinv", "svd"])
+def test_singular_value_beyond_the_double_range_raises_numeric_error(compute, gesvd, monkeypatch):
+    # sigma is (inf, 6.4e305): a cutoff of inf would drop every singular value and
+    # make the inverse zero without a word, with either driver
+    if gesvd:
+        monkeypatch.setattr(np.linalg, "svd", _svd_not_converging)
+    with pytest.raises(NumericError, match="a singular value is beyond the double range"):
+        compute(NEAR_MAX)
