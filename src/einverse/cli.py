@@ -29,6 +29,7 @@ from . import __version__
 from .algebra import chain
 from .errors import NumericError, PreconditionError, ShapeError
 from .inverses import (
+    _ROL_CONDITIONS,
     LambdaKind,
     penrose_check,
     pinv,
@@ -226,10 +227,6 @@ def _cmd_ginv(args):
     _emit(doc, args.out, args.format)
 
 
-#: The --lambda kinds check-rol diagnoses, as ``str(LambdaKind)``.
-_ROL_KINDS = ("1", "1,3", "1,4", "mp")
-
-
 def _parse_kind(text: str, supported) -> LambdaKind:
     """The kind ``text`` names; an argument error unless it is one of ``supported``."""
     try:
@@ -267,7 +264,7 @@ def _cmd_solve(args):
 
 
 def _cmd_check_rol(args):
-    kind = _parse_kind(args.lam, _ROL_KINDS)
+    kind = _parse_kind(args.lam, _ROL_CONDITIONS)
     a = _load_tensor(args.a)
     b = _load_tensor(args.b)
     ga = _load_tensor(args.ga) if args.ga else None
@@ -335,7 +332,7 @@ _VERBS = {
     "common": ("common solution of a x = b and x d = f", _SOLVERS["common"][1],
                _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
     "check-rol": ("reverse-order-law diagnostic for a b", ("a", "b"), (
-        ("--lambda", dict(dest="lam", required=True, help=" | ".join(_ROL_KINDS))),
+        ("--lambda", dict(dest="lam", required=True, help=" | ".join(_ROL_CONDITIONS))),
         ("--ga", dict(help="tensor file with a specific lambda-inverse of a")),
         ("--gb", dict(help="tensor file with a specific lambda-inverse of b")),
     ), DEFAULT_TOL, _cmd_check_rol),

@@ -242,7 +242,7 @@ class LambdaKind:
         if text in ("mp", "moore-penrose", "1,2,3,4"):
             return cls(frozenset({1, 2, 3, 4}))
         try:
-            flags = frozenset(int(p) for p in text.replace(" ", "").split(",") if p)
+            flags = frozenset(int(p) for p in text.split(",") if p.strip())  # int() drops spaces
         except ValueError as exc:
             raise ValueError(f"cannot parse lambda flags from {text!r}") from exc
         return cls(flags)
@@ -284,16 +284,16 @@ class ReverseOrderDiagnosis:
     reverse_order_holds: bool | None = None
 
 
-def _condition(name: str, pair, tol: float) -> ConditionCheck:
-    """Whether ``p = q`` holds for the arrays ``p, q = pair()``, within ``tol`` (relative).
+def _condition(name: str, pair, operands, tol: float) -> ConditionCheck:
+    """Whether ``p = q`` holds for the arrays ``p, q = pair(*operands)``, within ``tol`` (relative).
 
     A condition whose product or comparison is not shape-conformable (published
     operand orders can disagree) is reported as NaN / not holding.
     """
     try:
-        res = _relative_residual(*pair())
+        res = _relative_residual(*pair(*operands))
     except ShapeError:
-        return ConditionCheck(name, float("nan"), False)
+        res = float("nan")
     return ConditionCheck(name, res, res <= tol)
 
 
@@ -305,6 +305,32 @@ def _hermitian(*factors) -> tuple[np.ndarray, np.ndarray]:
 def _idempotent(*factors) -> tuple[np.ndarray, np.ndarray]:
     m = _square_matrix(chain(*factors))
     return m @ m, m
+
+
+#: The kinds ``reverse_order_diagnose`` supports, as ``str(LambdaKind)``: each
+#: condition's name and ``pair(a, b, ga, gb)``, the two arrays it equates.  Any
+#: one Moore-Penrose condition suffices; otherwise the first is the sufficient
+#: one ({1,4} also reports the other published operand order).
+_ROL_CONDITIONS = {
+    "1": {"ga_a_b_gb_idempotent": lambda a, b, ga, gb: _idempotent(ga, a, b, gb)},
+    "1,3": {
+        "a_ga_bstar_b_hermitian": lambda a, b, ga, gb: _hermitian(a, ga, conj_transpose(b), b),
+    },
+    "1,4": {
+        "ga_a_b_bstar_hermitian": lambda a, b, ga, gb: _hermitian(ga, a, b, conj_transpose(b)),
+        "a_ga_bstar_b_hermitian": lambda a, b, ga, gb: _hermitian(a, ga, conj_transpose(b), b),
+    },
+    "mp": {
+        "b_equals_a_conj_transpose": lambda a, b, ga, gb: (b._data, conj_transpose(a)._data),
+        "b_equals_mp_inverse_of_a": lambda a, b, ga, gb: (b._data, pinv(a)._data),
+        "a_conj_transpose_a_is_unit": lambda a, b, ga, gb: (
+            chain(conj_transpose(a), a).as_matrix(), np.eye(a.col_count)
+        ),
+        "b_b_conj_transpose_is_unit": lambda a, b, ga, gb: (
+            chain(b, conj_transpose(b)).as_matrix(), np.eye(b.row_count)
+        ),
+    },
+}
 
 
 def reverse_order_diagnose(
@@ -326,61 +352,31 @@ def reverse_order_diagnose(
     """
     if a.col_extents != b.row_extents:
         raise ShapeError(f"cannot multiply {a!r} by {b!r}")
-    # the supported kinds' conditions; they read ga and gb only when evaluated
-    pairs = {
-        "1": {"ga_a_b_gb_idempotent": lambda: _idempotent(ga, a, b, gb)},
-        "1,3": {"a_ga_bstar_b_hermitian": lambda: _hermitian(a, ga, conj_transpose(b), b)},
-        "1,4": {
-            "ga_a_b_bstar_hermitian": lambda: _hermitian(ga, a, b, conj_transpose(b)),
-            "a_ga_bstar_b_hermitian": lambda: _hermitian(a, ga, conj_transpose(b), b),
-        },
-        "mp": {
-            "b_equals_a_conj_transpose": lambda: (b._data, conj_transpose(a)._data),
-            "b_equals_mp_inverse_of_a": lambda: (b._data, pinv(a)._data),
-            "a_conj_transpose_a_is_unit": lambda: (
-                chain(conj_transpose(a), a).as_matrix(), np.eye(a.col_count)
-            ),
-            "b_b_conj_transpose_is_unit": lambda: (
-                chain(b, conj_transpose(b)).as_matrix(), np.eye(b.row_count)
-            ),
-        },
-    }.get(str(kind))
+    pairs = _ROL_CONDITIONS.get(str(kind))
     if pairs is None:
         raise ValueError(f"unsupported kind {kind} for reverse-order diagnosis")
-    if ga is None:
-        ga = pinv(a)
-    if gb is None:
-        gb = _pinv_sharing(b, a)
+    ga = pinv(a) if ga is None else ga
+    gb = _pinv_sharing(b, a) if gb is None else gb
     for name, g, t in (("ga", ga, a), ("gb", gb, b)):
         if g.shape != t.shape.swapped():
             raise ShapeError(f"{name} {g!r} does not match {t!r} with groups swapped")
     flags = tuple(sorted(kind.flags))
-    ga_ok = _is_kept_pinv(a, ga) or penrose_check(a, ga, tol).satisfies(flags)
-    gb_ok = _is_kept_pinv(b, gb) or penrose_check(b, gb, tol).satisfies(flags)
-
-    ab = chain(a, b)
-    candidate = chain(gb, ga)
+    ab, candidate = chain(a, b), chain(gb, ga)
     report = penrose_check(ab, candidate, tol)
-    candidate_ok = report.satisfies(flags)
-
-    conditions = tuple(_condition(name, pair, tol) for name, pair in pairs.items())
-    # any one of the Moore-Penrose conditions suffices; otherwise the first is the
-    # sufficient one ({1,4} also reports the other published operand order)
-    sufficient = any(c.holds for c in conditions) if kind.is_mp else conditions[0].holds
-    mp_distance = rol_holds = None
-    if kind.is_mp:  # the candidate has pinv(a b)'s extents by construction
-        mp_distance = _relative_residual(candidate._data, pinv(ab)._data)
-        rol_holds = mp_distance <= tol
-
+    conditions = tuple(_condition(name, pair, (a, b, ga, gb), tol) for name, pair in pairs.items())
+    # the candidate has pinv(a b)'s extents by construction
+    mp_distance = _relative_residual(candidate._data, pinv(ab)._data) if kind.is_mp else None
     return ReverseOrderDiagnosis(
         kind=kind,
         conditions=conditions,
-        sufficient_condition_holds=sufficient,
+        sufficient_condition_holds=(
+            any(c.holds for c in conditions) if kind.is_mp else conditions[0].holds
+        ),
         candidate=candidate,
         candidate_report=report,
-        candidate_is_inverse=candidate_ok,
-        ga_is_lambda_inverse=ga_ok,
-        gb_is_lambda_inverse=gb_ok,
+        candidate_is_inverse=report.satisfies(flags),
+        ga_is_lambda_inverse=_is_kept_pinv(a, ga) or penrose_check(a, ga, tol).satisfies(flags),
+        gb_is_lambda_inverse=_is_kept_pinv(b, gb) or penrose_check(b, gb, tol).satisfies(flags),
         mp_distance=mp_distance,
-        reverse_order_holds=rol_holds,
+        reverse_order_holds=None if mp_distance is None else mp_distance <= tol,
     )

@@ -38,11 +38,13 @@ def matrix_pinv(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
 
     Singular values at or below ``rank_tol * sigma_max`` are treated as zero;
     the default ``rank_tol`` is ``max(rows, cols)`` times the double-precision
-    machine epsilon.
+    machine epsilon.  A NaN or negative ``rank_tol`` is a ``ValueError``.
     """
     arr = np.asarray(m, dtype=np.complex128)
     if rank_tol is None:
         rank_tol = max(arr.shape) * np.finfo(np.float64).eps
+    elif not rank_tol >= 0:  # NaN fails every comparison
+        raise ValueError(f"rank_tol must be >= 0, not {rank_tol}")
     u, s, vh = _svd(arr, full_matrices=False)
     cutoff = rank_tol * (s[0] if s.size else 0.0)
     inv = np.zeros_like(s)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -29,7 +30,7 @@ from einverse import (
     solve_axb,
     unit_tensor,
 )
-from einverse import algebra, cli
+from einverse import algebra, cli, inverses
 from einverse.cli import main
 from conftest import conditioned, rank_deficient, rt
 from golden_data import MP_A, MP_A_PINV, MP_B, ROL14_A, ROL14_B, ROL14_X, ROL14_Y
@@ -466,6 +467,39 @@ def test_unsupported_lambda_is_an_argument_error(verb, lam, files, write_tensor,
     assert not out.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: argument: "), captured.err
+
+
+#: Every non-empty subset of the four equation labels as a --lambda text, and the long alias.
+_EVERY_KIND = [",".join(map(str, flags)) for size in range(1, 5)
+               for flags in itertools.combinations(range(1, 5), size)] + ["moore-penrose"]
+
+
+@pytest.mark.parametrize("text", _EVERY_KIND)
+def test_check_rol_takes_exactly_the_kinds_of_the_condition_table(text, svd_calls, tmp_path):
+    kind = LambdaKind.parse(text)
+    supported = str(kind) in inverses._ROL_CONDITIONS
+    a, b = rt([2], [3], seed=5), rt([3], [2], seed=6)
+    if supported:
+        assert [c.name for c in reverse_order_diagnose(a, b, kind).conditions] == list(
+            inverses._ROL_CONDITIONS[str(kind)]
+        )
+    else:
+        with pytest.raises(ValueError, match=f"^unsupported kind {kind} for reverse-order"):
+            reverse_order_diagnose(a, b, kind)
+        assert svd_calls == []  # refused before either operand is factored
+    # the kind is refused before any file is read; a supported one reaches the missing file
+    missing = str(tmp_path / "none.json")
+    code, out, err = run_main(["check-rol", missing, missing, "--lambda", text])
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: input: " if supported else "error: argument: "), err
+
+
+def test_space_inside_a_lambda_list_is_an_argument_error(write_tensor, capsys):
+    path = write_tensor("a.json", MP_A)
+    assert main(["check-rol", path, path, "--lambda", "1 3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument: cannot parse lambda flags from '1 3'\n"
 
 
 @pytest.mark.parametrize("verb", list(cli._VERBS))
@@ -1198,7 +1232,8 @@ def test_every_legal_shape_runs_on_every_verb(tmp_path_factory, a, other, kind, 
         ["solve-ax", path["a"], path["d"], "--z", path["cf"]],
         ["common", path["a"], path["re"], path["b"], path["cf"], "--z", path["z"]],
         *(["ginv", path["a"], "--lambda", lam, "--seed", str(seed)] for lam in cli._GINV),
-        *(["check-rol", path["a"], path["cf"], "--lambda", lam] for lam in cli._ROL_KINDS),
+        *(["check-rol", path["a"], path["cf"], "--lambda", lam]
+          for lam in inverses._ROL_CONDITIONS),
     ]
     for i, argv in enumerate(argvs):
         code, text, err = run_main(argv)

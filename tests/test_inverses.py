@@ -112,6 +112,13 @@ class TestPinv:
         assert pinv(a) is x
         assert len(svd_calls) == 1
 
+    @pytest.mark.parametrize("rank_tol", [math.nan, -1.0])
+    def test_nan_or_negative_rank_tol_is_refused_before_the_svd(self, rank_tol, svd_calls):
+        a = rt([2], [3], seed=1)
+        with pytest.raises(ValueError, match="^rank_tol must be >= 0"):
+            pinv(a, rank_tol=rank_tol)
+        assert svd_calls == [] and "pinv" not in a._memo
+
     def test_explicit_rank_tol_always_recomputes(self, svd_calls):
         a = rt([2, 2], [3], seed=29)
         x = pinv(a)
@@ -480,3 +487,9 @@ class TestLambdaKind:
             LambdaKind.parse("5")
         with pytest.raises(ValueError):
             LambdaKind.parse("one")
+
+    @pytest.mark.parametrize("text", ["1 3", "1 2"])
+    def test_space_inside_a_flag_is_not_a_separator(self, text):
+        # only commas separate flags: "1 3" is neither {1, 3} nor 13
+        with pytest.raises(ValueError, match=f"^cannot parse lambda flags from '{text}'$"):
+            LambdaKind.parse(text)

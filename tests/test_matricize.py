@@ -68,6 +68,19 @@ def test_matrix_pinv_rank_tol_truncates():
     blunt = matrix_pinv(m, rank_tol=1e-3)
     assert sharp[1, 1] == pytest.approx(1e5)
     assert blunt[1, 1] == 0.0
+    # 0 keeps every non-zero singular value, and 1 or more keeps none
+    singular = np.diag([1.0, 0.0])
+    assert np.array_equal(matrix_pinv(singular, rank_tol=0.0), singular)
+    for rank_tol in (1.0, 2.0):
+        assert not matrix_pinv(m, rank_tol=rank_tol).any()
+
+
+@pytest.mark.parametrize("rank_tol", [float("nan"), -1.0, -0.5e-16])
+def test_matrix_pinv_refuses_nan_or_negative_rank_tol_before_the_svd(rank_tol, svd_calls):
+    # NaN would drop every singular value, and a negative one divide by a zero one
+    with pytest.raises(ValueError, match=f"^rank_tol must be >= 0, not {rank_tol}$"):
+        matrix_pinv(np.diag([1.0, 0.0]), rank_tol=rank_tol)
+    assert svd_calls == []
 
 
 @pytest.mark.parametrize("seed", range(1, 101))
