@@ -31,23 +31,20 @@ def einstein_product(a: Tensor, b: Tensor, n: int) -> Tensor:
         Extents ``a.extents[:a.order - n] + b.extents[n:]``; the surviving
         axes of ``a`` form the row group.
     """
-    m, extents = _contract(a._data, a.extents, a.split, b, n)
+    m, extents = _contract(a._data, a.extents, b, n)
     return Tensor(m.reshape(extents), a.order - n)
 
 
-def _contract(m: np.ndarray, extents, split: int, b: Tensor, n: int):
-    """Contract entries ``m`` (of ``extents``, split at ``split``) with ``b`` over ``n`` axes.
+def _contract(m: np.ndarray, extents, b: Tensor, n: int):
+    """Contract entries ``m`` of ``extents`` with ``b`` over ``n`` axes.
 
     Returns the product's matrix and extents; ``n = 0`` is the outer product.
     """
     if n < 0:
         raise ShapeError(f"contraction needs n >= 0, got {n}")
     kept = len(extents) - n
-    if kept < 0 or n > b.order:
-        named = Tensor(m.reshape(extents), split)  # wrapped only to be named
-        raise ShapeError(f"cannot contract {n} axes of {named!r} with {b!r}")
-    if extents[kept:] != b.extents[:n]:
-        raise ShapeError(f"contracted extents differ: {extents[kept:]} vs {b.extents[:n]}")
+    if kept < 0 or extents[kept:] != b.extents[:n]:  # too few axes on a side, or other extents
+        raise ShapeError(f"cannot contract the last {n} axes of extents {extents} with {b!r}")
     k = prod(b.extents[:n])
     return m.reshape(-1, k) @ b._data.reshape(k, -1), extents[:kept] + b.extents[n:]
 
@@ -57,7 +54,7 @@ def _product(*factors: Tensor) -> np.ndarray:
     first = factors[0]
     m, extents, split = first._data, first.extents, first.split
     for f in factors[1:]:
-        m, extents = _contract(m, extents, split, f, len(extents) - split)
+        m, extents = _contract(m, extents, f, len(extents) - split)
     return m.reshape(extents)
 
 

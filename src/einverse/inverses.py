@@ -36,11 +36,6 @@ class PenroseReport:
     satisfied: tuple[bool, bool, bool, bool]
     tolerance: float
 
-    @classmethod
-    def from_residuals(cls, residuals, tolerance: float) -> PenroseReport:
-        residuals = tuple(float(r) for r in residuals)
-        return cls(residuals, tuple(r <= tolerance for r in residuals), tolerance)
-
     @property
     def all_satisfied(self) -> bool:
         return all(self.satisfied)
@@ -71,7 +66,7 @@ def penrose_check(a: Tensor, x: Tensor, tol: float = DEFAULT_TOL) -> PenroseRepo
     r2 = _relative_residual(gm @ g, g)
     r3 = _relative_residual(mg.conj().T, mg)
     r4 = _relative_residual(gm.conj().T, gm)
-    return PenroseReport.from_residuals((r1, r2, r3, r4), tol)
+    return PenroseReport((r1, r2, r3, r4), tuple(r <= tol for r in (r1, r2, r3, r4)), tol)
 
 
 @dataclass(frozen=True)
@@ -108,11 +103,6 @@ def svd(a: Tensor) -> SvdTriple:
     return SvdTriple(u, Tensor(core.reshape(a.extents), a.split), v)
 
 
-def _svd_pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
-    shape = a.shape.swapped()
-    return Tensor(matrix_pinv(a.as_matrix(), rank_tol).reshape(shape.extents), shape.split)
-
-
 def pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
     """The Moore-Penrose inverse, satisfying all four defining equations.
 
@@ -120,9 +110,12 @@ def pinv(a: Tensor, rank_tol: float | None = None) -> Tensor:
     kept on it (see :meth:`Tensor.memoized`), so later calls return the same
     object without another SVD.  An explicit ``rank_tol`` always recomputes.
     """
-    if rank_tol is not None:
-        return _svd_pinv(a, rank_tol)
-    return a.memoized("pinv", _svd_pinv)
+
+    def compute(a: Tensor) -> Tensor:
+        shape = a.shape.swapped()
+        return Tensor(matrix_pinv(a.as_matrix(), rank_tol).reshape(shape.extents), shape.split)
+
+    return a.memoized("pinv", compute) if rank_tol is None else compute(a)
 
 
 def _pinv_sharing(b: Tensor, a: Tensor) -> Tensor:
@@ -239,7 +232,7 @@ class LambdaKind:
     def parse(cls, text: str) -> LambdaKind:
         """Parse ``"1,3"``-style lists or the alias ``"mp"``."""
         text = text.strip().lower()
-        if text in ("mp", "moore-penrose", "1,2,3,4"):
+        if text in ("mp", "moore-penrose"):
             return cls(frozenset({1, 2, 3, 4}))
         try:
             flags = frozenset(int(p) for p in text.split(",") if p.strip())  # int() drops spaces
@@ -360,12 +353,13 @@ def reverse_order_diagnose(
     for name, g, t in (("ga", ga, a), ("gb", gb, b)):
         if g.shape != t.shape.swapped():
             raise ShapeError(f"{name} {g!r} does not match {t!r} with groups swapped")
-    flags = tuple(sorted(kind.flags))
     ab, candidate = chain(a, b), chain(gb, ga)
     report = penrose_check(ab, candidate, tol)
     conditions = tuple(_condition(name, pair, (a, b, ga, gb), tol) for name, pair in pairs.items())
     # the candidate has pinv(a b)'s extents by construction
     mp_distance = _relative_residual(candidate._data, pinv(ab)._data) if kind.is_mp else None
+    ga_ok, gb_ok = (_is_kept_pinv(t, g) or penrose_check(t, g, tol).satisfies(kind.flags)
+                    for t, g in ((a, ga), (b, gb)))
     return ReverseOrderDiagnosis(
         kind=kind,
         conditions=conditions,
@@ -374,9 +368,9 @@ def reverse_order_diagnose(
         ),
         candidate=candidate,
         candidate_report=report,
-        candidate_is_inverse=report.satisfies(flags),
-        ga_is_lambda_inverse=_is_kept_pinv(a, ga) or penrose_check(a, ga, tol).satisfies(flags),
-        gb_is_lambda_inverse=_is_kept_pinv(b, gb) or penrose_check(b, gb, tol).satisfies(flags),
+        candidate_is_inverse=report.satisfies(kind.flags),
+        ga_is_lambda_inverse=ga_ok,
+        gb_is_lambda_inverse=gb_ok,
         mp_distance=mp_distance,
         reverse_order_holds=None if mp_distance is None else mp_distance <= tol,
     )

@@ -38,7 +38,8 @@ def matrix_pinv(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
 
     Singular values at or below ``rank_tol * sigma_max`` are treated as zero;
     the default ``rank_tol`` is ``max(rows, cols)`` times the double-precision
-    machine epsilon.  A NaN or negative ``rank_tol`` is a ``ValueError``.
+    machine epsilon.  A NaN or negative ``rank_tol`` is a ``ValueError``, and
+    an inverse with an entry beyond the double range a :class:`NumericError`.
     """
     arr = np.asarray(m, dtype=np.complex128)
     if rank_tol is None:
@@ -46,8 +47,13 @@ def matrix_pinv(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     elif not rank_tol >= 0:  # NaN fails every comparison
         raise ValueError(f"rank_tol must be >= 0, not {rank_tol}")
     u, s, vh = _svd(arr, full_matrices=False)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    cutoff = rank_tol * s[0] if s.size and s[0] else 0.0  # an infinite rank_tol times 0 is NaN
     inv = np.zeros_like(s)
     keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return (vh.conj().T * inv) @ u.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as one error
+        inv[keep] = 1.0 / s[keep]
+        g = (vh.conj().T * inv) @ u.conj().T
+    if not np.isfinite(g).all():
+        raise NumericError(f"pseudoinverse failed: an entry is beyond the double range "
+                           f"(smallest kept singular value {s[keep][-1]})")
+    return g

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,28 @@ def test_chain_raises_the_nested_products_messages(factors):
     with pytest.raises(ShapeError) as got:
         chain(*fs)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "b, n",
+    [
+        (rt([512], [2], seed=3), 3),
+        (Tensor(np.ones(512), 1), 2),
+        (rt([3], [2], seed=4), 1),
+    ],
+    ids=["n-beyond-a", "n-beyond-b", "extents-differ"],
+)
+def test_non_conformable_product_names_both_operands_without_copying_them(b, n):
+    a = Tensor(np.ones((512, 512), dtype=complex), 1)  # 4 MiB of entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError) as exc:
+            einstein_product(a, b, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"cannot contract the last {n} axes of extents (512, 512) with {b!r}"
+    assert peak < 256 * 1024
 
 
 def test_identity_contraction():

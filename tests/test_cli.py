@@ -661,6 +661,15 @@ def test_overflowing_singular_value_is_a_numeric_error(argv, write_tensor):
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
+def test_overflowing_inverse_is_a_numeric_error(fmt, write_tensor):
+    # 1 / 1e-310 is beyond the double range: the inverse is refused, not written as NaN
+    code, out, err = run_main(["pinv", write_tensor("t.json", TINY), "--format", fmt])
+    reason = ("pseudoinverse failed: an entry is beyond the double range "
+              "(smallest kept singular value 1e-310)")
+    assert (code, out, err) == (1, "", f"error: numeric: {reason}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
 def test_memory_failure_is_one_memory_line(fmt, write_tensor):
     failure = MemoryError("Unable to allocate 23.8 GiB for an array")
     with mock.patch.object(cli, "penrose_check", side_effect=failure):

@@ -6,9 +6,11 @@ import pytest
 
 from einverse import (
     LambdaKind,
+    NumericError,
     PreconditionError,
     ShapeError,
     Tensor,
+    TensorShape,
     chain,
     conj_transpose,
     einstein_product,
@@ -118,6 +120,16 @@ class TestPinv:
         with pytest.raises(ValueError, match="^rank_tol must be >= 0"):
             pinv(a, rank_tol=rank_tol)
         assert svd_calls == [] and "pinv" not in a._memo
+
+    def test_infinite_rank_tol_of_a_zero_tensor_is_zero_without_a_warning(self):
+        got = pinv(zeros((2, 3, 2), 2), rank_tol=math.inf)  # the suite errors on a warning
+        assert got.shape == TensorShape((2, 2, 3), 1) and not got.data.any()
+
+    def test_inverse_beyond_the_double_range_is_refused_and_not_kept(self):
+        a = Tensor(np.diag([1e-310, 1e-310]), 1)
+        with pytest.raises(NumericError, match="^pseudoinverse failed: an entry is beyond"):
+            pinv(a)
+        assert "pinv" not in a._memo
 
     def test_explicit_rank_tol_always_recomputes(self, svd_calls):
         a = rt([2, 2], [3], seed=29)

@@ -71,8 +71,12 @@ def test_matrix_pinv_rank_tol_truncates():
     # 0 keeps every non-zero singular value, and 1 or more keeps none
     singular = np.diag([1.0, 0.0])
     assert np.array_equal(matrix_pinv(singular, rank_tol=0.0), singular)
-    for rank_tol in (1.0, 2.0):
+    for rank_tol in (1.0, 2.0, float("inf")):
         assert not matrix_pinv(m, rank_tol=rank_tol).any()
+    # a zero sigma_max gives the cutoff 0, not inf * 0: NaN, with numpy's invalid-value warning
+    for zero in (np.zeros((2, 2)), np.zeros((2, 3))):
+        got = matrix_pinv(zero, rank_tol=float("inf"))
+        assert got.shape == zero.T.shape and not got.any()
 
 
 @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0, -0.5e-16])
@@ -148,3 +152,14 @@ def test_singular_value_beyond_the_double_range_raises_numeric_error(compute, ge
         monkeypatch.setattr(np.linalg, "svd", _svd_not_converging)
     with pytest.raises(NumericError, match="a singular value is beyond the double range"):
         compute(NEAR_MAX)
+
+
+@pytest.mark.parametrize("m, rank_tol", [
+    (np.array([[1.0, 0.0], [0.0, 1e-320]]), 0.0),
+    (np.diag([1e-310, 1e-310]), None),
+], ids=["kept-1e-320", "diagonal-1e-310"])
+def test_inverse_beyond_the_double_range_raises_numeric_error(m, rank_tol):
+    # 1 / sigma overflows: refused as one error, not returned as NaN entries with warnings
+    with pytest.raises(NumericError, match="^pseudoinverse failed: an entry is beyond the "
+                                           r"double range \(smallest kept singular value "):
+        matrix_pinv(m, rank_tol=rank_tol)
