@@ -193,11 +193,9 @@ def _table_text(doc, prefix=""):
             yield f"{prefix}{key}: {value}\n"
 
 
-def _cmd_pinv(args):
-    a = _load_tensor(args.tensor)
+def _cmd_pinv(args, a):
     x = pinv(a)
-    report = penrose_check(a, x, args.tol)
-    _emit({**x._entry_doc(), "report": report.to_json_dict()}, args.out, args.format)
+    return {**x._entry_doc(), "report": penrose_check(a, x, args.tol).to_json_dict()}
 
 
 def _free(a: Tensor, seed: int) -> Tensor:
@@ -217,14 +215,11 @@ _GINV = {
 }
 
 
-def _cmd_ginv(args):
-    kind = _parse_kind(args.lam, _GINV)
-    a = _load_tensor(args.tensor)
-    g = _GINV[str(kind)](a, args.seed)
+def _cmd_ginv(args, a):
+    g = _GINV[str(args.lam)](a, args.seed)
     report = penrose_check(a, g, args.tol)
-    doc = {**g._entry_doc(), "lambda": sorted(kind.flags), "seed": args.seed,
-           "report": report.to_json_dict()}
-    _emit(doc, args.out, args.format)
+    return {**g._entry_doc(), "lambda": sorted(args.lam.flags), "seed": args.seed,
+            "report": report.to_json_dict()}
 
 
 def _parse_kind(text: str, supported) -> LambdaKind:
@@ -240,17 +235,8 @@ def _parse_kind(text: str, supported) -> LambdaKind:
     return kind
 
 
-#: Solve verbs: the solver each runs and the operand files it takes, in order.
-_SOLVERS = {
-    "solve": (solve_axb, ("a", "b", "d")),
-    "solve-ax": (solve_ax, ("a", "b")),
-    "common": (common_solution, ("a", "b", "d", "f")),
-}
-
-
-def _cmd_solve(args):
-    solver, operands = _SOLVERS[args.verb]
-    outcome = solver(*[_load_tensor(getattr(args, name)) for name in operands], tol=args.tol)
+def _cmd_solve(solver, args, *operands):
+    outcome = solver(*operands, tol=args.tol)
     doc = {
         "consistent": outcome.consistent,
         "residual": outcome.residual,
@@ -258,20 +244,15 @@ def _cmd_solve(args):
     }
     if args.z:
         doc["generated_solution"] = outcome.generator(_load_tensor(args.z))._entry_doc()
-    _emit(doc, args.out, args.format)
-    if args.require_consistent and not outcome.consistent:
-        raise _CliError(4, "inconsistent", f"residual {outcome.residual:.6e} exceeds tolerance")
+    return doc
 
 
-def _cmd_check_rol(args):
-    kind = _parse_kind(args.lam, _ROL_CONDITIONS)
-    a = _load_tensor(args.a)
-    b = _load_tensor(args.b)
+def _cmd_check_rol(args, a, b):
     ga = _load_tensor(args.ga) if args.ga else None
     gb = _load_tensor(args.gb) if args.gb else None
-    diag = reverse_order_diagnose(a, b, kind, ga=ga, gb=gb, tol=args.tol)
+    diag = reverse_order_diagnose(a, b, args.lam, ga=ga, gb=gb, tol=args.tol)
     doc = {
-        "lambda": sorted(kind.flags),
+        "lambda": sorted(args.lam.flags),
         "conditions": [
             {"name": c.name, "residual": None if math.isnan(c.residual) else c.residual,
              "holds": c.holds}
@@ -288,19 +269,15 @@ def _cmd_check_rol(args):
     if diag.mp_distance is not None:
         doc["mp_distance"] = diag.mp_distance
         doc["reverse_order_holds"] = diag.reverse_order_holds
-    _emit(doc, args.out, args.format)
+    return doc
 
 
-def _cmd_verify(args):
-    a = _load_tensor(args.a)
-    x = _load_tensor(args.x)
-    report = penrose_check(a, x, args.tol)
-    _emit({"report": report.to_json_dict()}, args.out, args.format)
+def _cmd_verify(args, a, x):
+    return {"report": penrose_check(a, x, args.tol).to_json_dict()}
 
 
-def _cmd_info(args):
-    a = _load_tensor(args.tensor)
-    doc = {
+def _cmd_info(args, a):
+    return {
         "extents": list(a.extents),
         "split": a.split,
         "order": a.order,
@@ -308,8 +285,10 @@ def _cmd_info(args):
         "cols": a.col_count,
         "frobenius_norm": frobenius_norm(a),
     }
-    _emit(doc, args.out, args.format)
 
+
+#: The verbs that take --lambda, and the kinds each supports, as ``str(LambdaKind)``.
+_KINDS = {"ginv": _GINV, "check-rol": _ROL_CONDITIONS}
 
 _SOLVE_OPTIONS = (
     ("--z", dict(help="free-tensor file to feed the solution generator")),
@@ -318,19 +297,22 @@ _SOLVE_OPTIONS = (
 )
 
 #: Each verb: its help, positional operands, own options as (flag, add_argument
-#: keywords), default ``--tol`` and handler.  Every verb also takes --tol, --out
-#: and --format, after its own options.
+#: keywords), default ``--tol`` and handler, which maps ``args`` and the loaded
+#: operands to the verb's document.  Every verb also takes --tol, --out and
+#: --format, after its own options.
 _VERBS = {
     "pinv": ("Moore-Penrose inverse of a tensor", ("tensor",), (), DEFAULT_TOL, _cmd_pinv),
     "ginv": ("sample a {lambda}-inverse", ("tensor",), (
         ("--lambda", dict(dest="lam", required=True, help="e.g. " + " | ".join(_GINV))),
         ("--seed", dict(type=int, default=0)),
     ), DEFAULT_TOL, _cmd_ginv),
-    "solve": ("solve a x b = d", _SOLVERS["solve"][1], _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
-    "solve-ax": ("solve a x = b", _SOLVERS["solve-ax"][1], _SOLVE_OPTIONS, SOLVE_TOL,
-                 _cmd_solve),
-    "common": ("common solution of a x = b and x d = f", _SOLVERS["common"][1],
-               _SOLVE_OPTIONS, SOLVE_TOL, _cmd_solve),
+    # each solver is looked up when called, so a wrapper set on this module's name is used
+    "solve": ("solve a x b = d", ("a", "b", "d"), _SOLVE_OPTIONS, SOLVE_TOL,
+              lambda args, *operands: _cmd_solve(solve_axb, args, *operands)),
+    "solve-ax": ("solve a x = b", ("a", "b"), _SOLVE_OPTIONS, SOLVE_TOL,
+                 lambda args, *operands: _cmd_solve(solve_ax, args, *operands)),
+    "common": ("common solution of a x = b and x d = f", ("a", "b", "d", "f"), _SOLVE_OPTIONS,
+               SOLVE_TOL, lambda args, *operands: _cmd_solve(common_solution, args, *operands)),
     "check-rol": ("reverse-order-law diagnostic for a b", ("a", "b"), (
         ("--lambda", dict(dest="lam", required=True, help=" | ".join(_ROL_CONDITIONS))),
         ("--ga", dict(help="tensor file with a specific lambda-inverse of a")),
@@ -372,7 +354,13 @@ def main(argv=None) -> int:
             raise _CliError(2, "argument", f"--tol must be finite and >= 0, not {args.tol}")
         # a non-finite result is reported once, as a numeric error, not also as numpy warnings
         with np.errstate(all="ignore"):
-            args.func(args)
+            if args.verb in _KINDS:
+                args.lam = _parse_kind(args.lam, _KINDS[args.verb])
+            operands = [_load_tensor(getattr(args, name)) for name in _VERBS[args.verb][1]]
+            doc = args.func(args, *operands)
+            _emit(doc, args.out, args.format)
+        if getattr(args, "require_consistent", False) and not doc["consistent"]:
+            raise _CliError(4, "inconsistent", f"residual {doc['residual']:.6e} exceeds tolerance")
         return 0
     except (_CliError, *_LIBRARY_ERRORS) as exc:
         code, category = (

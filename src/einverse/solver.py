@@ -22,7 +22,9 @@ from typing import Callable
 
 from .algebra import _product, chain
 from .errors import PreconditionError, ShapeError
-from .inverses import _left_projector, _member, _pinv_sharing, _right_projector, pinv
+from .inverses import (
+    _left_projector, _member, _pinv_sharing, _require_lambda_inverse, _right_projector, pinv,
+)
 from .tensor import (
     Tensor,
     _relative_residual,
@@ -70,7 +72,9 @@ def solve_axb(
         group with ``b``'s column group.
     g_a, g_b : Tensor, optional
         {1}-inverses to use in the solvability test and solution formulas;
-        default is the Moore-Penrose inverse of each.
+        default is the Moore-Penrose inverse of each.  A given one is graded
+        against equation (1) at ``tol``; one that fails it is a
+        :class:`PreconditionError`, since the test holds only for {1}-inverses.
     tol : float
         Relative consistency threshold.
     """
@@ -78,6 +82,8 @@ def solve_axb(
         raise ShapeError(f"right-hand side {d!r} does not fit {a!r} and {b!r}")
     ga = pinv(a) if g_a is None else g_a
     gb = _pinv_sharing(b, a) if g_b is None else g_b
+    _require_lambda_inverse(a, ga, (1,), tol, "g_a")  # the kept pinv is not graded
+    _require_lambda_inverse(b, gb, (1,), tol, "g_b")
     x0 = chain(ga, d, gb)
     residual = _relative_residual(_product(a, x0, b), d._data)
     # the projectors are built on the generator's first call, not before
@@ -95,11 +101,14 @@ def solve_ax(
     """Solve ``a x = b``; consistent iff ``a g b = b``.
 
     The generator realizes ``x(y) = g b + (I - g a) y`` as ``g b + y - (g a) y``.
-    ``g`` is a {1}-inverse of ``a``; the default is the Moore-Penrose inverse.
+    ``g`` is a {1}-inverse of ``a``, graded as in :func:`solve_axb`; the
+    default is the Moore-Penrose inverse.
     """
     if b.row_extents != a.row_extents:
         raise ShapeError(f"right-hand side {b!r} does not fit {a!r}")
-    x0 = chain(pinv(a) if g is None else g, b)
+    g1 = pinv(a) if g is None else g
+    _require_lambda_inverse(a, g1, (1,), tol, "g")
+    x0 = chain(g1, b)
     residual = _relative_residual(_product(a, x0), b._data)
     left = functools.cache(lambda: (_left_projector(a, g),))
     return SolveOutcome(residual <= tol, x0, residual, lambda y: _member(x0, y, left))

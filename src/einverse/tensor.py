@@ -222,9 +222,10 @@ class Tensor(_IndexGroups):
                 raise ShapeError(f"{key!r} has {values.size} values, expected {n}")
             if not np.isfinite(values).all():
                 raise ShapeError(f"{key!r} has non-finite values")
-        re = parts["re"]
-        entries = re + 1j * parts["im"] if "im" in parts else re.astype(np.complex128)
-        return cls.from_flat(shape.extents, shape.split, entries)
+        entries = parts["re"].astype(np.complex128)
+        if "im" in parts:
+            entries.imag = parts["im"]  # in place, so a signed zero keeps its sign
+        return cls(entries.reshape(shape.extents), shape.split)
 
 
 def _require_same_shape(a: Tensor, b: Tensor):

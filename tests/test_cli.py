@@ -185,6 +185,19 @@ def test_solve_verbs_table_format(verb, write_tensor, capsys):
     assert "particular:\n  extents: " in out
 
 
+@pytest.mark.parametrize("verb, solver", [
+    ("solve", "solve_axb"), ("solve-ax", "solve_ax"), ("common", "common_solution"),
+])
+def test_solve_verbs_call_the_solver_the_module_names(verb, solver, write_tensor, capsys):
+    # a wrapper set on cli's attribute (as a tracer or a mock does) sees every call
+    path = write_tensor("a.json", MP_A)
+    operands = [path] * len(cli._VERBS[verb][1])
+    with mock.patch.object(cli, solver, wraps=getattr(cli, solver)) as wrapped:
+        assert main([verb, *operands]) == 0
+    assert wrapped.call_count == 1
+    capsys.readouterr()
+
+
 def test_common_verb(write_tensor, capsys):
     i_path = write_tensor("i.json", unit_tensor([2]))
     b_path = write_tensor("b.json", rt([2], [2], seed=12))
@@ -421,10 +434,32 @@ def test_usage_error_is_one_argument_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: argument: "), captured.err
 
 
-def test_unreadable_file_exit_code(capsys):
+@pytest.mark.parametrize("argv, line", [
+    (["ginv", "--lambda", "9"], "the following arguments are required: tensor"),
+    (["check-rol", "a.json", "--lambda", "9"], "the following arguments are required: b"),
+    (["ginv", "a.json", "--lambda", "9", "--seed", "q"], "--seed: invalid int value: 'q'"),
+    (["ginv", "a.json", "--seed", "q", "--lambda", "9"], "--seed: invalid int value: 'q'"),
+])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_parser_error_wins_over_a_bad_lambda(argv, line, fmt, capsys):
+    # --lambda is read after the parser returns, so the parser's own error is the one reported
+    assert main([*argv, "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", f"error: argument: {line}\n")
+
+
+def test_unreadable_file_exit_code(tmp_path, capsys):
     code = main(["pinv", "/nonexistent/a.json"])
     assert code == 2
     assert "error: input:" in capsys.readouterr().err
+    # every verb reads its operand files in order before computing: the first is named
+    for verb, (_, names, *_) in cli._VERBS.items():
+        operands = [str(tmp_path / f"{name}.json") for name in names]
+        lam = ["--lambda", "1"] if verb in cli._KINDS else []
+        assert main([verb, *operands, *lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: input: cannot read {operands[0]}: "), verb
+        assert captured.err.count("\n") == 1
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):
@@ -451,8 +486,8 @@ def test_bad_lambda_exit_code(write_tensor, capsys):
 
 @pytest.mark.parametrize(
     "verb, lam",
-    [("ginv", lam) for lam in ("2", "2,3", "1,2,3")]
-    + [("check-rol", lam) for lam in ("2", "1,2", "1,2,3")],
+    [("ginv", lam) for lam in ("2", "2,3", "1,2,3", "7", "x", "1 3")]
+    + [("check-rol", lam) for lam in ("2", "1,2", "1,2,3", "7", "x", "1 3")],
 )
 @pytest.mark.parametrize("files", ["present", "missing"])
 def test_unsupported_lambda_is_an_argument_error(verb, lam, files, write_tensor, tmp_path, capsys):
@@ -805,6 +840,20 @@ def test_every_verb_writes_the_reference_encoder_bytes(write_tensor, tmp_path, c
         assert text == reference_text(json.loads(text)), argv
         assert main(argv + ["--out", str(out)]) == 0, argv
         assert out.read_text(encoding="utf-8") == text, argv
+
+
+def test_each_handler_returns_the_document_main_writes(write_tensor, capsys):
+    for argv in every_verb(write_tensor):
+        args = cli.build_parser().parse_args(argv)
+        if args.verb in cli._KINDS:
+            args.lam = LambdaKind.parse(args.lam)
+        operands = []
+        for name in cli._VERBS[args.verb][1]:
+            with open(getattr(args, name), encoding="utf-8") as fh:
+                operands.append(Tensor.from_json_dict(json.load(fh)))
+        doc = args.func(args, *operands)
+        assert main(argv) == 0, argv
+        assert "".join(cli._json_text(doc)) == capsys.readouterr().out, argv
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])

@@ -31,6 +31,7 @@ from einverse import (
     zeros,
     zeros_like,
 )
+from einverse import inverses
 from einverse.solver import SOLVE_TOL
 from conftest import rank_deficient, rdist, rt
 from identity_checks import kronecker_oracle
@@ -556,6 +557,36 @@ class TestChoiceOfOneInverse:
                 disagreements.append((seed, verdicts))
         if disagreements:  # pragma: no cover - not expected, reported not asserted
             print(f"verdict disagreements across {{1}}-inverse choices: {disagreements}")
+
+
+    def test_an_inverse_that_is_not_a_one_inverse_is_refused(self):
+        # the solvability test holds only for {1}-inverses: 2 pinv(a) fails equation (1)
+        a, b = rt([2], [3], 1), rt([3], [2], 2)
+        d = chain(a, rt([3], [3], 3), b)  # consistent by construction
+        bad_a, bad_b = 2 * pinv(a), 2 * pinv(b)
+        for solve, who in (
+            (lambda: solve_axb(a, b, d, g_a=bad_a), "g_a"),
+            (lambda: solve_axb(a, b, d, g_b=bad_b), "g_b"),
+            (lambda: solve_ax(a, chain(a, rt([3], [2], 4)), g=bad_a), "g"),
+        ):
+            pattern = rf"^{who} is not a \{{1\}}-inverse: equations \[1\] fail"
+            with pytest.raises(PreconditionError, match=pattern):
+                solve()
+        with pytest.raises(PreconditionError, match="^g13 is not a"):
+            one_three_family(a, bad_a, rt([3], [2], 5))
+        assert solve_axb(a, b, d).consistent
+
+    def test_only_a_given_inverse_is_graded(self):
+        a, b = rt([2], [3], 6), rt([3], [2], 7)
+        d = chain(a, rt([3], [3], 8), b)
+        g_a = one_inverse_family(a, pinv(a), rt([3], [2], 9))
+        with mock.patch.object(inverses, "penrose_check", wraps=inverses.penrose_check) as grade:
+            assert solve_axb(a, b, d).consistent
+            assert solve_ax(a, chain(a, rt([3], [2], 10))).consistent
+            assert solve_axb(a, b, d, g_a=pinv(a)).consistent  # the kept inverse
+            assert grade.call_count == 0
+            assert solve_axb(a, b, d, g_a=g_a).consistent
+            assert grade.call_count == 1
 
 
 def unmemoized_pinv(t):

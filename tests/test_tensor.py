@@ -234,11 +234,16 @@ def test_frobenius_distance_golden_pair_direct_summation():
 
 def test_json_round_trip_value_exact():
     values = [0.1, -1.0 / 3.0, 2.0**-1074, -(2.0**1023), 0.0, -0.0, 1e301]
-    t = Tensor.from_flat((7,), 1, [complex(v, -v) for v in values])
-    doc = json.loads(json.dumps(t.to_json_dict()))
-    back = Tensor.from_json_dict(doc)
-    assert np.array_equal(back.data, t.data)
-    assert back.split == t.split
+    for entries, imag in (([complex(v, -v) for v in values], True), (values, False)):
+        t = Tensor.from_flat((7,), 1, entries)
+        doc = json.loads(json.dumps(t.to_json_dict()))
+        assert ("im" in doc) is imag
+        back = Tensor.from_json_dict(doc)
+        # bit for bit: the signs of the zeros in both parts included
+        assert back.data.tobytes() == t.data.tobytes()
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(back.data)), np.signbit(part(t.data)))
+        assert back.split == t.split
 
 
 def test_json_round_trips_an_order_zero_tensor():
