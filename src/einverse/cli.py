@@ -164,6 +164,8 @@ def _emit(doc: dict, out: str | None, fmt: str):
         if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
+        elif sys.stdout is None:  # descriptor 1 was closed when the process started
+            raise _CliError(2, "output", "cannot write stdout: not open at start-up")
         else:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()

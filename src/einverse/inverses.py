@@ -280,8 +280,8 @@ class ReverseOrderDiagnosis:
 def _condition(name: str, pair, operands, tol: float) -> ConditionCheck:
     """Whether ``p = q`` holds for the arrays ``p, q = pair(*operands)``, within ``tol`` (relative).
 
-    A condition whose product or comparison is not shape-conformable (published
-    operand orders can disagree) is reported as NaN / not holding.
+    A comparison that is not shape-conformable (``mp``'s ``b = a*`` or
+    ``b = pinv(a)`` when the shapes differ) is reported as NaN / not holding.
     """
     try:
         res = _relative_residual(*pair(*operands))
@@ -301,18 +301,14 @@ def _idempotent(*factors) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: The kinds ``reverse_order_diagnose`` supports, as ``str(LambdaKind)``: each
-#: condition's name and ``pair(a, b, ga, gb)``, the two arrays it equates.  Any
-#: one Moore-Penrose condition suffices; otherwise the first is the sufficient
-#: one ({1,4} also reports the other published operand order).
+#: condition's name and ``pair(a, b, ga, gb)``, the two arrays it equates.  Each
+#: condition is sufficient on its own, so any one that holds proves the law.
 _ROL_CONDITIONS = {
     "1": {"ga_a_b_gb_idempotent": lambda a, b, ga, gb: _idempotent(ga, a, b, gb)},
-    "1,3": {
-        "a_ga_bstar_b_hermitian": lambda a, b, ga, gb: _hermitian(a, ga, conj_transpose(b), b),
-    },
-    "1,4": {
-        "ga_a_b_bstar_hermitian": lambda a, b, ga, gb: _hermitian(ga, a, b, conj_transpose(b)),
-        "a_ga_bstar_b_hermitian": lambda a, b, ga, gb: _hermitian(a, ga, conj_transpose(b), b),
-    },
+    "1,3": {"astar_a_b_gb_hermitian":
+            lambda a, b, ga, gb: _hermitian(conj_transpose(a), a, b, gb)},
+    "1,4": {"ga_a_b_bstar_hermitian":
+            lambda a, b, ga, gb: _hermitian(ga, a, b, conj_transpose(b))},
     "mp": {
         "b_equals_a_conj_transpose": lambda a, b, ga, gb: (b._data, conj_transpose(a)._data),
         "b_equals_mp_inverse_of_a": lambda a, b, ga, gb: (b._data, pinv(a)._data),
@@ -336,12 +332,10 @@ def reverse_order_diagnose(
 ) -> ReverseOrderDiagnosis:
     """Test sufficient conditions and the candidate ``gb ga`` for ``a b``.
 
-    Supported kinds: ``{1}`` (idempotency condition), ``{1,3}`` and ``{1,4}``
-    (hermitian conditions; for ``{1,4}`` both operand orders are reported
-    since published statements disagree), and the full Moore-Penrose set
-    (four sufficient conditions, no converse claim).  ``ga``/``gb`` default
-    to the kept Moore-Penrose inverses (``pinv(a)*`` for ``b`` exactly
-    ``a*``), which lie in every class ungraded.
+    Supported kinds: ``{1}`` (an idempotency condition), ``{1,3}`` and ``{1,4}``
+    (hermitian conditions, adjoint duals of each other) and the Moore-Penrose
+    set (four conditions).  ``ga``/``gb`` default to the kept Moore-Penrose
+    inverses (``pinv(a)*`` for ``b`` exactly ``a*``), which lie in every class ungraded.
     """
     if a.col_extents != b.row_extents:
         raise ShapeError(f"cannot multiply {a!r} by {b!r}")
@@ -363,9 +357,7 @@ def reverse_order_diagnose(
     return ReverseOrderDiagnosis(
         kind=kind,
         conditions=conditions,
-        sufficient_condition_holds=(
-            any(c.holds for c in conditions) if kind.is_mp else conditions[0].holds
-        ),
+        sufficient_condition_holds=any(c.holds for c in conditions),
         candidate=candidate,
         candidate_report=report,
         candidate_is_inverse=report.satisfies(kind.flags),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import index
 
 import numpy as np
 
@@ -64,6 +65,10 @@ class TensorShape(_IndexGroups):
     split: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "split", index(self.split))  # numpy integers too
+        except TypeError:
+            raise ShapeError(f"split must be an integer, got {self.split!r}") from None
         extents = tuple(int(e) for e in self.extents)
         object.__setattr__(self, "extents", extents)
         if any(e < 1 for e in extents):
@@ -98,9 +103,9 @@ class Tensor(_IndexGroups):
         # own an immutable copy: numpy refuses to make an array over bytes writable
         buffer = arr.astype(np.complex128, copy=False).tobytes()
         arr = np.frombuffer(buffer, dtype=np.complex128).reshape(arr.shape)
-        TensorShape(arr.shape, split)  # refuses bad extents or a bad split
+        shape = TensorShape(arr.shape, split)  # refuses bad extents or a bad split
         object.__setattr__(self, "_data", arr)
-        object.__setattr__(self, "_split", int(split))
+        object.__setattr__(self, "_split", shape.split)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):

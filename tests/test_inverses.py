@@ -1,3 +1,4 @@
+import collections
 import math
 from unittest import mock
 
@@ -379,6 +380,57 @@ class TestPinvKronecker:
         assert np.all(got.data == 0)
 
 
+def _gauss(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _random_rank(rng, rows, cols):
+    k = rng.integers(1, min(rows, cols) + 1)
+    return _gauss(rng, rows, k) @ _gauss(rng, k, cols)
+
+
+def _condition_pairs(rng, count):
+    """``count`` seeded pairs ``a, b`` of flattened sides 1 to 4 and random ranks.
+
+    A third are random; a third have ``b``'s range spanned by eigenvectors of
+    ``a* a``, a third ``a``'s row space spanned by eigenvectors of ``b b*``, so
+    that each {1}, {1,3} and {1,4} condition holds on many of them.
+    """
+    for i in range(count):
+        m, n, p = (int(side) for side in rng.integers(1, 5, size=3))
+        a, b = _random_rank(rng, m, n), _random_rank(rng, n, p)
+        if i % 3 == 1:
+            k = rng.integers(1, min(n, p) + 1)
+            b = np.linalg.svd(a)[2].conj().T[:, rng.permutation(n)[:k]] @ _gauss(rng, k, p)
+        elif i % 3 == 2:
+            k = rng.integers(1, min(m, n) + 1)
+            a = _gauss(rng, m, k) @ np.linalg.svd(b)[0][:, rng.permutation(n)[:k]].conj().T
+        yield Tensor(a, 1), Tensor(b, 1)
+
+
+def _mp_pairs(rng, count):
+    """Pairs, a quarter each: ``b = a*``, ``b = pinv(a)``, ``a`` with orthonormal
+    columns, and ``b`` with orthonormal rows."""
+    for i in range(count):
+        m, n, p = sorted(int(side) for side in rng.integers(1, 5, size=3))
+        a = Tensor(_random_rank(rng, m, n), 1)
+        if i % 4 == 0:
+            yield a, conj_transpose(a)
+        elif i % 4 == 1:
+            yield a, pinv(a)
+        elif i % 4 == 2:
+            yield Tensor(np.linalg.qr(_gauss(rng, p, n))[0], 1), Tensor(_random_rank(rng, n, m), 1)
+        else:
+            yield Tensor(_random_rank(rng, p, m), 1), Tensor(np.linalg.qr(_gauss(rng, n, m))[0].T, 1)
+
+
+def _member_of(text, t, rng):
+    """A random member of ``t``'s {1}, {1,3} or {1,4} class."""
+    family = {"1": one_inverse_family, "1,3": one_three_family, "1,4": one_four_family}[text]
+    g = pinv(t)
+    return family(t, g, Tensor(_gauss(rng, *g.as_matrix().shape), 1))
+
+
 class TestReverseOrderDiagnose:
     def test_mp_golden_counterexample(self):
         diag = reverse_order_diagnose(MP_A, MP_B, LambdaKind.parse("mp"))
@@ -430,9 +482,39 @@ class TestReverseOrderDiagnose:
             ROL13_A, ROL13_B, LambdaKind.parse("1,3"), ga=ROL13_X, gb=ROL13_Y
         )
         assert diag.ga_is_lambda_inverse and diag.gb_is_lambda_inverse
-        # converse-failure witness: candidate passes although the condition fails
-        assert not diag.sufficient_condition_holds
+        # a* a b gb is exactly Hermitian on the integer example, and the candidate passes
+        assert [(c.name, c.residual) for c in diag.conditions] == [("astar_a_b_gb_hermitian", 0.0)]
+        assert diag.sufficient_condition_holds
         assert diag.candidate_is_inverse
+
+    def test_a_ga_bstar_b_hermitian_is_not_sufficient(self):
+        # a published operand order, refuted: a has full row rank, so a ga = I and
+        # a ga b* b = b* b is Hermitian for every b, while gb ga fails equation (1)
+        a, b = rt([2], [3], seed=11), rt([3], [2], seed=12)
+        m_a, m_b = a.as_matrix(), b.as_matrix()
+        t = m_a @ np.linalg.pinv(m_a) @ m_b.conj().T @ m_b
+        assert np.linalg.norm(t - t.conj().T) / (1.0 + np.linalg.norm(t)) <= 1e-15
+        for text in ("1,3", "1,4"):
+            diag = reverse_order_diagnose(a, b, LambdaKind.parse(text))
+            assert diag.candidate_report.residuals[0] == pytest.approx(0.104, abs=1e-3)
+            assert not diag.candidate_is_inverse
+            assert not diag.sufficient_condition_holds
+
+    def test_every_listed_condition_is_sufficient_on_its_own(self):
+        rng = np.random.default_rng(29)
+        holds = collections.Counter()
+        for text in ("1", "1,3", "1,4", "mp"):
+            kind = LambdaKind.parse(text)
+            for a, b in _mp_pairs(rng, 100) if kind.is_mp else _condition_pairs(rng, 300):
+                # for mp the kept inverses; otherwise random members of the kind's class
+                ga, gb = (None, None) if kind.is_mp else (_member_of(text, t, rng) for t in (a, b))
+                diag = reverse_order_diagnose(a, b, kind, ga=ga, gb=gb)
+                assert diag.ga_is_lambda_inverse and diag.gb_is_lambda_inverse
+                assert diag.sufficient_condition_holds == any(c.holds for c in diag.conditions)
+                for c in diag.conditions:
+                    holds[text, c.name] += c.holds
+                    assert diag.candidate_is_inverse or not c.holds, (text, c, a, b)
+        assert len(holds) == 7 and min(holds.values()) >= 20, holds
 
     def test_one_inverse_kind_idempotency_condition(self):
         a = rt([2, 2], [2, 2], seed=39)

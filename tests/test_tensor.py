@@ -19,6 +19,7 @@ from einverse import (
     is_idempotent,
     is_unitary,
     pinv,
+    random_tensor,
     solve_axb,
     transpose,
     unit_tensor,
@@ -74,12 +75,27 @@ def test_constructors_refuse_negative_extents_as_shape_errors(build):
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: zeros((2,), 2), lambda: Tensor.from_flat((2,), 2, [1, 2])],
-    ids=["zeros", "from_flat"],
+    "build, message",
+    [
+        (lambda: zeros((2,), 2), "split 2 out of range for 1 extents"),
+        (lambda: Tensor.from_flat((2,), 2, [1, 2]), "split 2 out of range for 1 extents"),
+        (lambda: Tensor(np.zeros((2, 2)), 1.5), "split must be an integer, got 1.5"),
+        (lambda: zeros((2, 2), 1.0), "split must be an integer, got 1.0"),
+        (lambda: random_tensor((2, 2), 1.7, 0), "split must be an integer, got 1.7"),
+        (lambda: TensorShape((2, 2), 1.5), "split must be an integer, got 1.5"),
+    ],
+    ids=["zeros", "from_flat", "tensor-float", "zeros-float", "random-float", "shape-float"],
 )
-def test_constructors_refuse_a_bad_split_as_tensor_shape_does(build):
-    with pytest.raises(ShapeError, match="split 2 out of range for 1 extents"):
+def test_constructors_refuse_a_bad_split_as_tensor_shape_does(build, message):
+    with pytest.raises(ShapeError, match=message):
         build()
+
+
+def test_an_integer_split_of_any_index_type_is_stored_as_int():
+    for split in (np.int64(1), np.int32(1)):
+        t = Tensor(np.zeros((2, 2)), split)
+        assert type(t.split) is int and t.split == 1
+        assert type(TensorShape((2, 2), split).split) is int
 
 
 def test_a_scalar_is_the_order_zero_tensor():
