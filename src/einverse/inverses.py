@@ -12,6 +12,7 @@ with the full set characterizing the unique Moore-Penrose inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -21,9 +22,10 @@ from .matricize import _svd, matrix_pinv
 from .tensor import (
     DEFAULT_TOL,
     Tensor,
+    _hermitian,
+    _idempotent,
     _relative_residual,
     _require_free_shape,
-    _square_matrix,
     conj_transpose,
 )
 
@@ -123,17 +125,10 @@ def _pinv_sharing(b: Tensor, a: Tensor) -> Tensor:
 
     Only a ``b`` with no inverse kept on it yet is compared with ``a``.
     """
-
-    def derive(b: Tensor) -> Tensor:
-        if (
-            b is not a
-            and b.shape == a.shape.swapped()
-            and np.array_equal(b.as_matrix(), a.as_matrix().conj().T)
-        ):
-            return conj_transpose(pinv(a))
-        return pinv(b)
-
-    return b.memoized("pinv", derive)
+    if ("pinv" not in b._memo and b is not a and b.shape == a.shape.swapped()
+            and np.array_equal(b.as_matrix(), a.as_matrix().conj().T)):
+        b._memo["pinv"] = conj_transpose(pinv(a))
+    return pinv(b)
 
 
 def _is_kept_pinv(a: Tensor, g: Tensor) -> bool:
@@ -141,18 +136,14 @@ def _is_kept_pinv(a: Tensor, g: Tensor) -> bool:
     return g is a._memo.get("pinv")
 
 
-def _left_projector(a: Tensor, g: Tensor | None) -> Tensor:
-    """``g a``; for ``g`` the default or kept ``pinv(a)`` it is kept on ``a``."""
-    if g is None or _is_kept_pinv(a, g):
-        return a.memoized("pinv a", lambda a: chain(pinv(a), a))
-    return chain(g, a)
+def _left_projector(a: Tensor, g: Tensor) -> Tensor:
+    """``g a``; for ``g`` the kept ``pinv(a)`` it is kept on ``a``."""
+    return a.memoized("pinv a", lambda a: chain(g, a)) if _is_kept_pinv(a, g) else chain(g, a)
 
 
-def _right_projector(b: Tensor, g: Tensor | None) -> Tensor:
-    """``b g``; for ``g`` the default or kept ``pinv(b)`` it is kept on ``b``."""
-    if g is None or _is_kept_pinv(b, g):
-        return b.memoized("b pinv", lambda b: chain(b, pinv(b)))
-    return chain(b, g)
+def _right_projector(b: Tensor, g: Tensor) -> Tensor:
+    """``b g``; for ``g`` the kept ``pinv(b)`` it is kept on ``b``."""
+    return b.memoized("b pinv", lambda b: chain(b, g)) if _is_kept_pinv(b, g) else chain(b, g)
 
 
 def _require_lambda_inverse(a: Tensor, g: Tensor, flags, tol: float, who: str):
@@ -223,7 +214,10 @@ class LambdaKind:
     flags: frozenset[int]
 
     def __post_init__(self):
-        flags = frozenset(int(f) for f in self.flags)
+        try:
+            flags = frozenset(map(index, self.flags))  # numpy integers too
+        except TypeError:
+            raise ValueError(f"flags must be integers, got {self.flags!r}") from None
         object.__setattr__(self, "flags", flags)
         if not flags or not flags <= {1, 2, 3, 4}:
             raise ValueError(f"flags must be a non-empty subset of 1..4, got {set(flags)}")
@@ -290,25 +284,15 @@ def _condition(name: str, pair, operands, tol: float) -> ConditionCheck:
     return ConditionCheck(name, res, res <= tol)
 
 
-def _hermitian(*factors) -> tuple[np.ndarray, np.ndarray]:
-    m = _square_matrix(chain(*factors))
-    return m.conj().T, m
-
-
-def _idempotent(*factors) -> tuple[np.ndarray, np.ndarray]:
-    m = _square_matrix(chain(*factors))
-    return m @ m, m
-
-
 #: The kinds ``reverse_order_diagnose`` supports, as ``str(LambdaKind)``: each
 #: condition's name and ``pair(a, b, ga, gb)``, the two arrays it equates.  Each
 #: condition is sufficient on its own, so any one that holds proves the law.
 _ROL_CONDITIONS = {
-    "1": {"ga_a_b_gb_idempotent": lambda a, b, ga, gb: _idempotent(ga, a, b, gb)},
+    "1": {"ga_a_b_gb_idempotent": lambda a, b, ga, gb: _idempotent(chain(ga, a, b, gb))},
     "1,3": {"astar_a_b_gb_hermitian":
-            lambda a, b, ga, gb: _hermitian(conj_transpose(a), a, b, gb)},
+            lambda a, b, ga, gb: _hermitian(chain(conj_transpose(a), a, b, gb))},
     "1,4": {"ga_a_b_bstar_hermitian":
-            lambda a, b, ga, gb: _hermitian(ga, a, b, conj_transpose(b))},
+            lambda a, b, ga, gb: _hermitian(chain(ga, a, b, conj_transpose(b)))},
     "mp": {
         "b_equals_a_conj_transpose": lambda a, b, ga, gb: (b._data, conj_transpose(a)._data),
         "b_equals_mp_inverse_of_a": lambda a, b, ga, gb: (b._data, pinv(a)._data),

@@ -87,8 +87,8 @@ def solve_axb(
     x0 = chain(ga, d, gb)
     residual = _relative_residual(_product(a, x0, b), d._data)
     # the projectors are built on the generator's first call, not before
-    left = functools.cache(lambda: (_left_projector(a, g_a),))
-    right = functools.cache(lambda: (_right_projector(b, g_b),))
+    left = functools.cache(lambda: (_left_projector(a, ga),))
+    right = functools.cache(lambda: (_right_projector(b, gb),))
     return SolveOutcome(residual <= tol, x0, residual, lambda z: _member(x0, z, left, right))
 
 
@@ -110,7 +110,7 @@ def solve_ax(
     _require_lambda_inverse(a, g1, (1,), tol, "g")
     x0 = chain(g1, b)
     residual = _relative_residual(_product(a, x0), b._data)
-    left = functools.cache(lambda: (_left_projector(a, g),))
+    left = functools.cache(lambda: (_left_projector(a, g1),))
     return SolveOutcome(residual <= tol, x0, residual, lambda y: _member(x0, y, left))
 
 
@@ -131,9 +131,8 @@ def common_solution(
         raise ShapeError("equations do not share an unknown of one shape")
     g_a = pinv(a)
     g_d = _pinv_sharing(d, a)
-    left = _left_projector(a, None)
-    fg = chain(f, g_d)
-    x0 = Tensor(_product(g_a, b) + fg._data - _product(left, fg), g_a.split)
+    left = _left_projector(a, g_a)
+    x0 = _member(chain(g_a, b), chain(f, g_d), lambda: (left,))
     residual = max(
         _relative_residual(_product(a, x0), b._data), _relative_residual(_product(x0, d), f._data)
     )
@@ -141,7 +140,7 @@ def common_solution(
     def generator(z: Tensor) -> Tensor:  # x0 + w - w (d g_d) with w = z - (g_a a) z
         _require_free_shape(z, x0)
         w = Tensor(z._data - _product(left, z), z.split)
-        return Tensor(x0._data + w._data - _product(w, _right_projector(d, None)), x0.split)
+        return _member(x0, w, right=lambda: (_right_projector(d, g_d),))
 
     return SolveOutcome(residual <= tol, x0, residual, generator)
 

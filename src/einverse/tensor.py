@@ -69,7 +69,10 @@ class TensorShape(_IndexGroups):
             object.__setattr__(self, "split", index(self.split))  # numpy integers too
         except TypeError:
             raise ShapeError(f"split must be an integer, got {self.split!r}") from None
-        extents = tuple(int(e) for e in self.extents)
+        try:
+            extents = tuple(map(index, self.extents))
+        except TypeError:
+            raise ShapeError(f"extents must be integers, got {self.extents!r}") from None
         object.__setattr__(self, "extents", extents)
         if any(e < 1 for e in extents):
             raise ShapeError(f"extents must all be >= 1, got {extents}")
@@ -322,10 +325,21 @@ def _relative_residual(got: np.ndarray, want: np.ndarray) -> float:
     return _norm(got - want) / (1.0 + _norm(want))
 
 
+def _hermitian(t: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of ``t* = t`` on the square tensor ``t``'s flattening."""
+    m = _square_matrix(t)
+    return m.conj().T, m
+
+
+def _idempotent(t: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of ``t t = t`` on the square tensor ``t``'s flattening."""
+    m = _square_matrix(t)
+    return m @ m, m
+
+
 def is_hermitian(a: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """``a* = a`` within ``tol`` (relative residual); requires a square tensor."""
-    m = _square_matrix(a)
-    return _relative_residual(m.conj().T, m) <= tol
+    return _relative_residual(*_hermitian(a)) <= tol
 
 
 def is_unitary(a: Tensor, tol: float = DEFAULT_TOL) -> bool:
@@ -336,5 +350,4 @@ def is_unitary(a: Tensor, tol: float = DEFAULT_TOL) -> bool:
 
 def is_idempotent(a: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """``a a = a`` within ``tol`` (relative residual)."""
-    m = _square_matrix(a)
-    return _relative_residual(m @ m, m) <= tol
+    return _relative_residual(*_idempotent(a)) <= tol

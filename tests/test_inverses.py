@@ -582,6 +582,16 @@ class TestLambdaKind:
         with pytest.raises(ValueError):
             LambdaKind.parse("one")
 
+    @pytest.mark.parametrize("flags", [{1.5}, {"3"}, {1, 2.0}])
+    def test_a_flag_that_is_not_an_integer_is_refused(self, flags):
+        with pytest.raises(ValueError, match="^flags must be integers, got "):
+            LambdaKind(frozenset(flags))
+
+    def test_integer_flags_of_any_index_type_are_stored_as_int(self):
+        kind = LambdaKind(frozenset({np.int64(1), np.int32(3)}))
+        assert kind.flags == {1, 3} and all(type(f) is int for f in kind.flags)
+        assert str(kind) == "1,3"
+
     @pytest.mark.parametrize("text", ["1 3", "1 2"])
     def test_space_inside_a_flag_is_not_a_separator(self, text):
         # only commas separate flags: "1 3" is neither {1, 3} nor 13

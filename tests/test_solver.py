@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from einverse import (
+    LambdaKind,
     PreconditionError,
     ShapeError,
     Tensor,
@@ -23,6 +24,7 @@ from einverse import (
     one_three_family,
     penrose_check,
     pinv,
+    reverse_order_diagnose,
     row_block,
     solve_ax,
     solve_axb,
@@ -696,6 +698,36 @@ class TestFactorReuse:
         assert rdist(custom, chain(g_a, d, g_b) + z - chain(g_a, a, z, b, g_b)) <= SOLVE_TOL
         assert rdist(default, chain(ga, d, gb) + z - chain(ga, a, z, b, gb)) <= SOLVE_TOL
         assert rdist(custom, default) > 1e-6
+
+    @pytest.mark.parametrize(
+        "run, svds",
+        [
+            (lambda h, z: solve_axb(h, h, chain(h, z, h)).generator(z), 1),
+            # the given g_a's own SVD, then h's: b = h is not compared with a = h
+            (lambda h, z: solve_axb(h, h, chain(h, z, h), g_a=unmemoized_pinv(h)).generator(z), 2),
+            (lambda h, z: common_solution(h, chain(h, z), h, chain(z, h)).generator(z), 1),
+            (lambda h, z: reverse_order_diagnose(h, h, LambdaKind.parse("1")), 1),
+            (lambda h, z: reverse_order_diagnose(h, h, LambdaKind.parse("1,3")), 1),
+            (lambda h, z: reverse_order_diagnose(h, h, LambdaKind.parse("1,4")), 1),
+            (lambda h, z: reverse_order_diagnose(h, h, LambdaKind.parse("mp")), 2),
+        ],
+        ids=["solve_axb", "solve_axb-given-g_a", "common_solution",
+             "rol-1", "rol-13", "rol-14", "rol-mp"],
+    )
+    def test_one_tensor_as_both_operands_keeps_one_inverse(self, run, svds, svd_calls):
+        # h equals h* exactly, yet as the same object it is one operand with one inverse
+        m = rt([2, 3], [2, 3], seed=3050)
+        h, z = m + ct(m), rt([2, 3], [2, 3], seed=3051)
+        assert "pinv" not in h._memo
+        first = run(h, z)
+        assert len(svd_calls) == svds  # rol-mp's second SVD is its reference pinv(h h)
+        kept = h._memo["pinv"]
+        assert np.array_equal(kept.data, unmemoized_pinv(h).data)  # h's own, not its adjoint's
+        later = run(h, z)
+        assert pinv(h) is kept and h._memo["pinv"] is kept
+        if isinstance(first, inverses.ReverseOrderDiagnosis):
+            for diag in (first, later):
+                assert np.array_equal(diag.candidate.data, chain(kept, kept).data)
 
     def test_kept_factors_are_freed_with_their_tensor(self):
         def live_tensors():

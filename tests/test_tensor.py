@@ -91,6 +91,30 @@ def test_constructors_refuse_a_bad_split_as_tensor_shape_does(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, got",
+    [
+        (lambda: TensorShape((2.5, 2), 1), r"\(2\.5, 2\)"),
+        (lambda: TensorShape(("3", 2), 1), r"\('3', 2\)"),
+        (lambda: zeros((2.5, 2), 1), r"\(2\.5, 2\)"),
+        (lambda: random_tensor((2.9, 2), 1, 0), r"\(2\.9, 2\)"),
+        (lambda: unit_tensor((2.7,)), r"\(2\.7,\)"),
+        (lambda: Tensor.from_flat((2.5, 2), 1, np.zeros(4)), r"\(2\.5, 2\)"),
+    ],
+    ids=["shape-float", "shape-str", "zeros", "random", "unit_tensor", "from_flat"],
+)
+def test_constructors_refuse_a_non_integer_extent_as_tensor_shape_does(build, got):
+    with pytest.raises(ShapeError, match=f"^extents must be integers, got {got}$"):
+        build()
+
+
+def test_integer_extents_of_any_index_type_are_stored_as_int():
+    extents = (np.int64(2), np.int32(3))
+    stored = TensorShape(extents, 1).extents
+    assert stored == (2, 3) and all(type(e) is int for e in stored)
+    assert unit_tensor(extents).extents == (2, 3, 2, 3)
+
+
 def test_an_integer_split_of_any_index_type_is_stored_as_int():
     for split in (np.int64(1), np.int32(1)):
         t = Tensor(np.zeros((2, 2)), split)
